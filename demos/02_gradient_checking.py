@@ -23,12 +23,12 @@ def rel_err(a, b):
 # A single depthwise filter bank, checked coordinate by coordinate.
 x = rng.standard_normal((1, 6, 6, 2))
 p = ConvParams(rng.standard_normal((3, 3, 2)), rng.standard_normal(2))
-out, cache = layers.depthwise_conv_forward(x, p, 3)
+out, cache = layers.depthwise_conv_forward(x, p)
 direction = rng.standard_normal(out.shape)
 dx, dw, db = layers.depthwise_conv_backward(cache, direction)
 
 numeric_dw = finite_diff_grad(
-    lambda w: float(np.sum(layers.depthwise_conv(x, ConvParams(w, p.bias), 3) * direction)),
+    lambda w: float(np.sum(layers.depthwise_conv(x, ConvParams(w, p.bias)) * direction)),
     p.weights,
 )
 print(f"depthwise dW vs finite differences: rel err {rel_err(dw, numeric_dw):.2e}")

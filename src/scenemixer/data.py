@@ -175,6 +175,10 @@ def load_dataset(root) -> DatasetManifest:
     manifest = DatasetManifest(class_names)
     for idx, name in enumerate(class_names):
         folder = os.path.join(root, name)
+        if any(ch in name for ch in ",=\n"):
+            # class names are stored comma-separated in key=value checkpoint
+            # lines and in the comma-separated split manifest
+            raise ValueError(f"class folder {folder!r}: name must not contain ',', '=' or a newline")
         files = sorted(f for f in os.listdir(folder) if f.lower().endswith(".ppm"))
         if not files:
             raise ValueError(f"class folder {folder} contains no .ppm images")

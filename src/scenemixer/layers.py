@@ -38,16 +38,6 @@ class BatchNormState:
     momentum: float = 0.99
     epsilon: float = 1e-3
 
-    def copy(self) -> "BatchNormState":
-        return BatchNormState(
-            self.gamma.copy(),
-            self.beta.copy(),
-            self.running_mean.copy(),
-            self.running_var.copy(),
-            self.momentum,
-            self.epsilon,
-        )
-
 
 @dataclass
 class LayerCache:
@@ -108,15 +98,14 @@ def _record(layer: str, mults: int):
 # ---------------------------------------------------------------------------
 # patch embedding: non-overlapping pxp convolution with stride p
 
-def patch_embed_forward(x: Tensor, p: ConvParams, patch: int = 4, stride: int = 4):
-    if patch != stride:
-        raise ValueError(f"patch embedding is non-overlapping: patch {patch} != stride {stride}")
+def patch_embed_forward(x: Tensor, p: ConvParams):
     n, h, w, c_in = x.shape
+    pw = p.weights
+    patch = pw.shape[0]
+    if pw.ndim != 4 or pw.shape[:3] != (patch, patch, c_in):
+        raise ShapeError(f"patch weights {pw.shape} are not (p, p, {c_in}, d)")
     if h % patch or w % patch:
         raise ShapeError(f"input {h}x{w} not divisible by patch size {patch} (no implicit padding)")
-    pw = p.weights
-    if pw.shape[:3] != (patch, patch, c_in):
-        raise ShapeError(f"patch weights {pw.shape} do not match patch {patch} and {c_in} input channels")
     d = pw.shape[3]
     if p.bias.shape != (d,):
         raise ShapeError(f"patch bias shape {p.bias.shape} != ({d},)")
@@ -131,19 +120,19 @@ def patch_embed_forward(x: Tensor, p: ConvParams, patch: int = 4, stride: int = 
     w2 = pw.reshape(patch * patch * c_in, d)
     out = (cols @ w2 + p.bias).reshape(n, gh, gw, d)
     _record("patch_embed", n * gh * gw * patch * patch * c_in * d)
-    cache = LayerCache("patch_embed", out.shape, {"cols": cols, "weights": pw, "x_shape": x.shape, "patch": patch})
+    cache = LayerCache("patch_embed", out.shape, {"cols": cols, "weights": pw, "x_shape": x.shape})
     return out, cache
 
 
-def patch_embed(x: Tensor, p: ConvParams, patch: int = 4, stride: int = 4) -> Tensor:
-    return patch_embed_forward(x, p, patch, stride)[0]
+def patch_embed(x: Tensor, p: ConvParams) -> Tensor:
+    return patch_embed_forward(x, p)[0]
 
 
 def patch_embed_backward(cache: LayerCache, upstream: Tensor):
     saved = _consume(cache, "patch_embed", upstream)
     cols, pw = saved["cols"], saved["weights"]
     n, h, w, c_in = saved["x_shape"]
-    patch = saved["patch"]
+    patch = pw.shape[0]
     gh, gw = h // patch, w // patch
     d = pw.shape[3]
     du = upstream.reshape(n * gh * gw, d)
@@ -163,10 +152,9 @@ def patch_embed_backward(cache: LayerCache, upstream: Tensor):
 # ---------------------------------------------------------------------------
 # depthwise convolution, same padding, one kxk filter per channel
 
-def depthwise_conv_forward(x: Tensor, p: ConvParams, k: int | None = None):
+def depthwise_conv_forward(x: Tensor, p: ConvParams):
     w = p.weights
-    if k is None:
-        k = w.shape[0]
+    k = w.shape[0]
     if k % 2 == 0:
         raise ValueError(f"depthwise kernel size must be odd, got {k}")
     n, h, ww, c = x.shape
@@ -183,18 +171,19 @@ def depthwise_conv_forward(x: Tensor, p: ConvParams, k: int | None = None):
         for dx in range(k):
             out += xp[:, dy : dy + h, dx : dx + ww, :] * w[dy, dx]
     _record("depthwise_conv", n * h * ww * c * k * k)
-    cache = LayerCache("depthwise_conv", out.shape, {"xp": xp, "weights": w, "k": k, "x_shape": x.shape})
+    cache = LayerCache("depthwise_conv", out.shape, {"xp": xp, "weights": w, "x_shape": x.shape})
     return out, cache
 
 
-def depthwise_conv(x: Tensor, p: ConvParams, k: int | None = None) -> Tensor:
-    return depthwise_conv_forward(x, p, k)[0]
+def depthwise_conv(x: Tensor, p: ConvParams) -> Tensor:
+    return depthwise_conv_forward(x, p)[0]
 
 
 def depthwise_conv_backward(cache: LayerCache, upstream: Tensor):
     saved = _consume(cache, "depthwise_conv", upstream)
-    xp, w, k = saved["xp"], saved["weights"], saved["k"]
+    xp, w = saved["xp"], saved["weights"]
     n, h, ww, c = saved["x_shape"]
+    k = w.shape[0]
     pad = k // 2
     dxp = np.zeros_like(xp)
     dw = np.zeros_like(w)

@@ -12,6 +12,7 @@ u32 tensor count, then per tensor a u32-length-prefixed UTF-8 name, u32
 rank, u64 extents and raw float32 data.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -34,7 +35,6 @@ class ModelConfig:
     embed_dim: int = 128
     depth: int = 4
     kernels: tuple = (3, 5)
-    merge: str = "sum"
     num_classes: int = 10
     bn_eps: float = 1e-3
     bn_momentum: float = 0.99
@@ -59,8 +59,6 @@ class ModelConfig:
             problems.append("kernels must be non-empty")
         if any(k < 1 or k % 2 == 0 for k in self.kernels):
             problems.append(f"kernels must be odd and positive, got {self.kernels}")
-        if self.merge != "sum":
-            problems.append(f"merge mode must be 'sum', got {self.merge!r}")
         if self.num_classes < 2:
             problems.append(f"num_classes must be >= 2, got {self.num_classes}")
         if not self.bn_eps > 0:
@@ -90,7 +88,7 @@ def config_to_text(config: ModelConfig, extras: dict | None = None) -> str:
         f"embed_dim={config.embed_dim}",
         f"depth={config.depth}",
         "kernels=" + ",".join(str(k) for k in config.kernels),
-        f"merge={config.merge}",
+        "merge=sum",  # branches always merge by sum; the key stays for format compatibility
         f"num_classes={config.num_classes}",
         f"bn_eps={config.bn_eps!r}",
         f"bn_momentum={config.bn_momentum!r}",
@@ -134,6 +132,8 @@ def parse_config_text(text: str):
     residual = values["residual"].lower()
     if residual not in ("true", "false"):
         raise ValueError(f"residual must be true or false, got {values['residual']!r}")
+    if values["merge"] != "sum":
+        raise ValueError(f"invalid model config: merge mode must be 'sum', got {values['merge']!r}")
     config = ModelConfig(
         input_h=h,
         input_w=w,
@@ -142,7 +142,6 @@ def parse_config_text(text: str):
         embed_dim=int(values["embed_dim"]),
         depth=int(values["depth"]),
         kernels=tuple(int(k) for k in values["kernels"].split(",")),
-        merge=values["merge"],
         num_classes=int(values["num_classes"]),
         bn_eps=float(values["bn_eps"]),
         bn_momentum=float(values["bn_momentum"]),
@@ -242,8 +241,6 @@ class ForwardCaches:
     blocks: list  # per block: {"dw": [cache per kernel], "pw", "gelu", "bn"}
     gap: object
     dense: object
-    logits: Tensor
-    softmax: object
 
 
 def forward(model: SceneMixerModel, x: Tensor, mode: str):
@@ -259,14 +256,14 @@ def forward(model: SceneMixerModel, x: Tensor, mode: str):
     want_caches = mode == "train"
     x = x.astype(model.dtype, copy=False)
 
-    t, embed_cache = layers.patch_embed_forward(x, model.embed_params(), cfg.patch, cfg.patch)
+    t, embed_cache = layers.patch_embed_forward(x, model.embed_params())
     block_caches = []
     for i in range(cfg.depth):
         dws, pw = model.block_conv_params(i)
         dw_caches = []
         merged = None
-        for k, dwp in zip(cfg.kernels, dws):
-            branch, c = layers.depthwise_conv_forward(t, dwp, k)
+        for dwp in dws:
+            branch, c = layers.depthwise_conv_forward(t, dwp)
             merged = branch if merged is None else merged + branch
             dw_caches.append(c)
         h, pw_cache = layers.pointwise_conv_forward(merged, pw)
@@ -279,10 +276,10 @@ def forward(model: SceneMixerModel, x: Tensor, mode: str):
 
     pooled, gap_cache = layers.global_avg_pool_forward(t)
     logits, dense_cache = layers.dense_forward(pooled, model.head_params())
-    probs, softmax_cache = layers.softmax_forward(logits)
+    probs, _ = layers.softmax_forward(logits)
     if not want_caches:
         return probs, None
-    return probs, ForwardCaches(embed_cache, block_caches, gap_cache, dense_cache, logits, softmax_cache)
+    return probs, ForwardCaches(embed_cache, block_caches, gap_cache, dense_cache)
 
 
 def backward(model: SceneMixerModel, caches: ForwardCaches, dlogits: Tensor):
@@ -383,7 +380,7 @@ def load(path) -> SceneMixerModel:
         name = r.take(r.u32()).decode("utf-8")
         rank = r.u32()
         shape = r.u64s(rank)
-        size = int(np.prod(shape)) if rank else 1
+        size = math.prod(shape)  # Python ints: forged extents cannot wrap to a small count
         data = np.frombuffer(r.take(4 * size), dtype="<f4").reshape(shape).copy()
         tensors[name] = data
     if r.pos != len(blob):
@@ -400,5 +397,8 @@ def load(path) -> SceneMixerModel:
             raise CheckpointError(f"tensor {name}: shape {tensors[name].shape} != {t.shape} expected from config")
         t[:] = tensors[name]
     if "class_names" in extras:
-        model.class_names = extras["class_names"].split(",")
+        names = extras["class_names"].split(",")
+        if len(names) != config.num_classes:
+            raise CheckpointError(f"checkpoint lists {len(names)} class names for {config.num_classes} classes")
+        model.class_names = names
     return model

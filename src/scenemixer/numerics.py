@@ -1,106 +1,17 @@
-"""Dense tensor utilities and the finite-difference gradient oracle.
+"""Tensor conventions and the finite-difference gradient oracle.
 
 Tensors are plain numpy arrays (float32 or float64), row-major. Image
-batches follow the (n, y, x, c) convention. There is no broadcasting at
-this API surface: shape agreement is always explicit and mismatches
-raise ShapeError.
+batches follow the (n, y, x, c) convention; layers raise ShapeError when
+operand extents disagree.
 """
 
 import numpy as np
 
 Tensor = np.ndarray
 
-SUPPORTED_DTYPES = (np.float32, np.float64)
-
 
 class ShapeError(ValueError):
     """Raised when extents are invalid or operand shapes disagree."""
-
-
-def check_shape(shape) -> tuple:
-    """Validate a shape (rank >= 1, every extent >= 1) and return it as a tuple."""
-    dims = tuple(int(d) for d in shape)
-    if len(dims) == 0:
-        raise ShapeError("shape must have rank >= 1")
-    for d in dims:
-        if d < 1:
-            raise ShapeError(f"invalid extent {d} in shape {dims}")
-    return dims
-
-
-def row_major_strides(shape) -> tuple:
-    """Element strides of a row-major layout: stride[j] = prod(shape[j+1:])."""
-    dims = check_shape(shape)
-    strides = [1] * len(dims)
-    for j in range(len(dims) - 2, -1, -1):
-        strides[j] = strides[j + 1] * dims[j + 1]
-    return tuple(strides)
-
-
-def flat_index(shape, coords) -> int:
-    """Row-major flat offset of a coordinate tuple."""
-    dims = check_shape(shape)
-    if len(coords) != len(dims):
-        raise ShapeError(f"coordinate rank {len(coords)} != shape rank {len(dims)}")
-    strides = row_major_strides(dims)
-    idx = 0
-    for c, d, s in zip(coords, dims, strides):
-        if not 0 <= c < d:
-            raise ShapeError(f"coordinate {tuple(coords)} out of bounds for shape {dims}")
-        idx += c * s
-    return idx
-
-
-def coords_from_flat(shape, idx: int) -> tuple:
-    """Inverse of flat_index."""
-    dims = check_shape(shape)
-    total = int(np.prod(dims))
-    if not 0 <= idx < total:
-        raise ShapeError(f"flat index {idx} out of bounds for shape {dims}")
-    coords = []
-    for s in row_major_strides(dims):
-        coords.append(idx // s)
-        idx %= s
-    return tuple(coords)
-
-
-def tensor_fill(shape, value, dtype=np.float32) -> Tensor:
-    """Tensor of the given shape with every element equal to `value`."""
-    dims = check_shape(shape)
-    if dtype not in SUPPORTED_DTYPES:
-        raise TypeError(f"unsupported dtype {dtype}; expected float32 or float64")
-    return np.full(dims, value, dtype=dtype)
-
-
-_ELEMENTWISE = {"add": np.add, "sub": np.subtract, "mul": np.multiply}
-
-
-def elementwise(op: str, a: Tensor, b: Tensor) -> Tensor:
-    """Apply add/sub/mul elementwise. Shapes and dtypes must match exactly."""
-    if op not in _ELEMENTWISE:
-        raise ValueError(f"unknown elementwise op {op!r}; expected one of {sorted(_ELEMENTWISE)}")
-    if a.shape != b.shape:
-        raise ShapeError(f"elementwise {op}: shape mismatch {a.shape} vs {b.shape}")
-    if a.dtype != b.dtype:
-        raise TypeError(f"elementwise {op}: dtype mismatch {a.dtype} vs {b.dtype}")
-    return _ELEMENTWISE[op](a, b)
-
-
-def reduce_mean(x: Tensor, axes) -> Tensor:
-    """Arithmetic mean over the listed axes; reduced axes are removed.
-
-    An empty axis set is the identity. Duplicate or out-of-range axes
-    raise ShapeError.
-    """
-    axes = tuple(int(a) for a in axes)
-    if len(set(axes)) != len(axes):
-        raise ShapeError(f"duplicate axis in {axes}")
-    for a in axes:
-        if not 0 <= a < x.ndim:
-            raise ShapeError(f"axis {a} out of range for rank {x.ndim}")
-    if not axes:
-        return x.copy()
-    return np.mean(x, axis=axes)
 
 
 def finite_diff_grad(f, x: Tensor, h: float = 1e-5) -> Tensor:

@@ -90,24 +90,24 @@ def test_criterion_04_gradient_suite():
         # patch embedding
         x = rng.standard_normal((1, 4, 4, 2))
         p = ConvParams(rng.standard_normal((2, 2, 2, 3)), rng.standard_normal(3))
-        out, cache = layers.patch_embed_forward(x, p, 2, 2)
+        out, cache = layers.patch_embed_forward(x, p)
         r = rng.standard_normal(out.shape)
         dx, dw, db = layers.patch_embed_backward(cache, r)
-        track(dx, finite_diff_grad(lambda t: float(np.sum(layers.patch_embed(t, p, 2, 2) * r)), x))
+        track(dx, finite_diff_grad(lambda t: float(np.sum(layers.patch_embed(t, p) * r)), x))
         track(dw, finite_diff_grad(
-            lambda t: float(np.sum(layers.patch_embed(x, ConvParams(t, p.bias), 2, 2) * r)), p.weights))
+            lambda t: float(np.sum(layers.patch_embed(x, ConvParams(t, p.bias)) * r)), p.weights))
         track(db, finite_diff_grad(
-            lambda t: float(np.sum(layers.patch_embed(x, ConvParams(p.weights, t), 2, 2) * r)), p.bias))
+            lambda t: float(np.sum(layers.patch_embed(x, ConvParams(p.weights, t)) * r)), p.bias))
         # depthwise
         for k in (3, 5):
             x = rng.standard_normal((1, 5, 5, 2))
             p = ConvParams(rng.standard_normal((k, k, 2)), rng.standard_normal(2))
-            out, cache = layers.depthwise_conv_forward(x, p, k)
+            out, cache = layers.depthwise_conv_forward(x, p)
             r = rng.standard_normal(out.shape)
             dx, dw, db = layers.depthwise_conv_backward(cache, r)
-            track(dx, finite_diff_grad(lambda t: float(np.sum(layers.depthwise_conv(t, p, k) * r)), x))
+            track(dx, finite_diff_grad(lambda t: float(np.sum(layers.depthwise_conv(t, p) * r)), x))
             track(dw, finite_diff_grad(
-                lambda t: float(np.sum(layers.depthwise_conv(x, ConvParams(t, p.bias), k) * r)), p.weights))
+                lambda t: float(np.sum(layers.depthwise_conv(x, ConvParams(t, p.bias)) * r)), p.weights))
         # pointwise
         x = rng.standard_normal((1, 3, 3, 2))
         p = ConvParams(rng.standard_normal((2, 4)), rng.standard_normal(4))

@@ -1,3 +1,5 @@
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -26,11 +28,18 @@ def run_inproc(args):
     return cli.main(args)
 
 
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
 def run_subproc(args, check=False):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "scenemixer", *args],
         capture_output=True,
         text=True,
+        env=env,
+        timeout=300,
     )
     if check and proc.returncode != 0:
         raise AssertionError(f"{args} failed ({proc.returncode}):\n{proc.stderr}")
@@ -180,3 +189,27 @@ def test_every_command_echoes_resolved_settings(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "resolved: classes=2" in err
     assert "resolved: seed=1" in err
+
+
+def test_threads_do_not_change_output_bytes(tmp_path, tiny_dataset, tiny_config):
+    # BLAS reads its thread variables when numpy loads, so each run needs
+    # its own interpreter
+    outputs = []
+    for threads in ("1", "2"):
+        model_path, history_path = tmp_path / f"m{threads}.smxc", tmp_path / f"h{threads}.csv"
+        run_subproc(["train", "--data", str(tiny_dataset), "--config", str(tiny_config),
+                     "--epochs", "2", "--batch", "8", "--seed", "3", "--threads", threads,
+                     "--out", str(model_path), "--history", str(history_path), "--quiet"], check=True)
+        outputs.append((model_path.read_bytes(), history_path.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["split", "train"])
+def test_format_breaking_class_folder_is_runtime_error(tmp_path, tiny_dataset, tiny_config, command, capsys):
+    (tiny_dataset / "00_stripes_horizontal").rename(tiny_dataset / "a,b")
+    args = {"split": ["split", "--data", str(tiny_dataset), "--out", str(tmp_path / "s.csv")],
+            "train": ["train", "--data", str(tiny_dataset), "--config", str(tiny_config),
+                      "--epochs", "1", "--out", str(tmp_path / "m.smxc"), "--quiet"]}[command]
+    assert run_inproc(args) == 2
+    assert "a,b" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists() and not (tmp_path / "m.smxc").exists()

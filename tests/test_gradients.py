@@ -37,12 +37,12 @@ def test_patch_embed_grads(seed):
     x = rng.standard_normal((2, 4, 4, 2))
     w = rng.standard_normal((2, 2, 2, 3))
     b = rng.standard_normal(3)
-    out, cache = layers.patch_embed_forward(x, ConvParams(w, b), 2, 2)
+    out, cache = layers.patch_embed_forward(x, ConvParams(w, b))
     r = _proj(rng, out.shape)
     dx, dw, db = layers.patch_embed_backward(cache, r)
 
     def run(x_, w_, b_):
-        return float(np.sum(layers.patch_embed(x_, ConvParams(w_, b_), 2, 2) * r))
+        return float(np.sum(layers.patch_embed(x_, ConvParams(w_, b_)) * r))
 
     _check(dx, finite_diff_grad(lambda t: run(t, w, b), x, H))
     _check(dw, finite_diff_grad(lambda t: run(x, t, b), w, H))
@@ -56,12 +56,12 @@ def test_depthwise_grads(seed, k):
     x = rng.standard_normal((2, 6, 5, 3))
     w = rng.standard_normal((k, k, 3))
     b = rng.standard_normal(3)
-    out, cache = layers.depthwise_conv_forward(x, ConvParams(w, b), k)
+    out, cache = layers.depthwise_conv_forward(x, ConvParams(w, b))
     r = _proj(rng, out.shape)
     dx, dw, db = layers.depthwise_conv_backward(cache, r)
 
     def run(x_, w_, b_):
-        return float(np.sum(layers.depthwise_conv(x_, ConvParams(w_, b_), k) * r))
+        return float(np.sum(layers.depthwise_conv(x_, ConvParams(w_, b_)) * r))
 
     _check(dx, finite_diff_grad(lambda t: run(t, w, b), x, H))
     _check(dw, finite_diff_grad(lambda t: run(x, t, b), w, H))

@@ -5,7 +5,7 @@ import pytest
 
 from scenemixer import layers
 from scenemixer.layers import BatchNormState, ConvParams
-from scenemixer.numerics import ShapeError, reduce_mean
+from scenemixer.numerics import ShapeError
 
 from conftest import max_rel_err
 
@@ -23,14 +23,14 @@ def _params(w, b=None):
 def test_patch_embed_all_ones_patch():
     x = np.ones((1, 4, 4, 1))
     p = _params(np.ones((4, 4, 1, 1)))
-    out = layers.patch_embed(x, p, 4, 4)
+    out = layers.patch_embed(x, p)
     assert out.shape == (1, 1, 1, 1)
     assert out[0, 0, 0, 0] == 16.0
 
 
 def test_patch_embed_grid_shape():
     x = np.zeros((1, 8, 8, 1))
-    out = layers.patch_embed(x, _params(np.zeros((4, 4, 1, 1))), 4, 4)
+    out = layers.patch_embed(x, _params(np.zeros((4, 4, 1, 1))))
     assert out.shape == (1, 2, 2, 1)
 
 
@@ -43,14 +43,14 @@ def test_patch_embed_default_grid():
 def test_patch_embed_rejects_nondivisible():
     x = np.zeros((1, 6, 8, 1))
     with pytest.raises(ShapeError):
-        layers.patch_embed(x, _params(np.zeros((4, 4, 1, 1))), 4, 4)
+        layers.patch_embed(x, _params(np.zeros((4, 4, 1, 1))))
 
 
 def test_patch_embed_matches_loops(rng):
     # brute-force oracle: walk patches and filters explicitly
     x = rng.standard_normal((2, 8, 8, 3))
     p = _params(rng.standard_normal((4, 4, 3, 5)), rng.standard_normal(5))
-    out = layers.patch_embed(x, p, 4, 4)
+    out = layers.patch_embed(x, p)
     for n in range(2):
         for gy in range(2):
             for gx in range(2):
@@ -68,7 +68,7 @@ def test_patch_embed_matches_loops(rng):
 
 def test_depthwise_zero_padding_tap_counts():
     x = np.ones((1, 3, 3, 1))
-    out = layers.depthwise_conv(x, _params(np.ones((3, 3, 1))), 3)
+    out = layers.depthwise_conv(x, _params(np.ones((3, 3, 1))))
     expected = np.array([[4, 6, 4], [6, 9, 6], [4, 6, 4]], dtype=np.float64)
     assert np.array_equal(out[0, :, :, 0], expected)
 
@@ -76,10 +76,10 @@ def test_depthwise_zero_padding_tap_counts():
 def test_depthwise_channel_independence(rng):
     x = rng.standard_normal((1, 6, 6, 2))
     p = _params(rng.standard_normal((3, 3, 2)), rng.standard_normal(2))
-    base = layers.depthwise_conv(x, p, 3)
+    base = layers.depthwise_conv(x, p)
     bumped = x.copy()
     bumped[..., 1] += rng.standard_normal((1, 6, 6))
-    out = layers.depthwise_conv(bumped, p, 3)
+    out = layers.depthwise_conv(bumped, p)
     assert np.array_equal(out[..., 0], base[..., 0])
     assert not np.array_equal(out[..., 1], base[..., 1])
 
@@ -107,7 +107,7 @@ def _direct_depthwise(x, w, b, k):
 def test_depthwise_matches_direct_oracle(rng, k):
     x = rng.standard_normal((1, 5, 5, 2))
     p = _params(rng.standard_normal((k, k, 2)), rng.standard_normal(2))
-    got = layers.depthwise_conv(x, p, k)
+    got = layers.depthwise_conv(x, p)
     want = _direct_depthwise(x, p.weights, p.bias, k)
     assert max_rel_err(got, want) < 1e-6
 
@@ -115,13 +115,13 @@ def test_depthwise_matches_direct_oracle(rng, k):
 def test_depthwise_rejects_even_kernel():
     x = np.zeros((1, 4, 4, 1))
     with pytest.raises(ValueError):
-        layers.depthwise_conv(x, _params(np.zeros((2, 2, 1))), 2)
+        layers.depthwise_conv(x, _params(np.zeros((2, 2, 1))))
 
 
 def test_depthwise_rejects_channel_mismatch():
     x = np.zeros((1, 4, 4, 3))
     with pytest.raises(ShapeError):
-        layers.depthwise_conv(x, _params(np.zeros((3, 3, 2))), 3)
+        layers.depthwise_conv(x, _params(np.zeros((3, 3, 2))))
 
 
 def test_depthwise_translation_equivariance(rng):
@@ -130,9 +130,9 @@ def test_depthwise_translation_equivariance(rng):
     k, h = 3, 8
     x = rng.standard_normal((1, h, h, 2))
     p = _params(rng.standard_normal((k, k, 2)))
-    base = layers.depthwise_conv(x, p, k)
+    base = layers.depthwise_conv(x, p)
     shifted = np.roll(x, 1, axis=1)
-    out = layers.depthwise_conv(shifted, p, k)
+    out = layers.depthwise_conv(shifted, p)
     # rows 2..h-2 of the shifted output equal rows 1..h-3 of the base
     assert np.allclose(out[:, 2 : h - 1, 1 : h - 1], base[:, 1 : h - 2, 1 : h - 1], atol=1e-12)
 
@@ -277,7 +277,7 @@ def test_gap_constant():
 
 def test_gap_matches_reduce_mean(rng):
     x = rng.standard_normal((2, 4, 5, 3))
-    assert np.array_equal(layers.global_avg_pool(x), reduce_mean(x, {1, 2}))
+    assert np.array_equal(layers.global_avg_pool(x), np.mean(x, axis=(1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +350,7 @@ def test_dense_backward_bias_is_column_sums(rng):
 
 def test_zero_upstream_gives_zero_grads(rng):
     x = rng.standard_normal((2, 4, 4, 3))
-    out, cache = layers.depthwise_conv_forward(x, _params(rng.standard_normal((3, 3, 3))), 3)
+    out, cache = layers.depthwise_conv_forward(x, _params(rng.standard_normal((3, 3, 3))))
     dx, dw, db = layers.depthwise_conv_backward(cache, np.zeros_like(out))
     assert not dx.any() and not dw.any() and not db.any()
 

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -299,3 +300,26 @@ def test_config_text_rejects_unknown_key():
     text = sm.config_to_text(sm.ModelConfig.eurosat_default()) + "bogus=1\n"
     with pytest.raises(ValueError, match="bogus"):
         sm.parse_config_text(text)
+
+
+@pytest.mark.parametrize("extents", [(2**62, 4, 1, 1), (2**32, 2**32, 1, 1)])
+def test_checkpoint_forged_extents_rejected(tmp_path, extents):
+    # both products are 2**64, which wraps a fixed-width element count to 0
+    net = sm.build(TINY, seed=4)
+    path = tmp_path / "tiny.smxc"
+    sm.save(net, path)
+    blob = bytearray(path.read_bytes())
+    at = blob.index(b"embed.weights") + len(b"embed.weights") + 4  # skip the u32 rank
+    blob[at : at + 32] = struct.pack("<4Q", *extents)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(sm.CheckpointError, match="truncated"):
+        sm.load(path)
+
+
+def test_checkpoint_class_name_count_must_match(tmp_path):
+    net = sm.build(TINY, seed=4)
+    net.class_names = ["a,b", "c"]  # saved as class_names=a,b,c: three names, two classes
+    path = tmp_path / "tiny.smxc"
+    sm.save(net, path)
+    with pytest.raises(sm.CheckpointError, match="3 class names for 2 classes"):
+        sm.load(path)

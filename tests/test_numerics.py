@@ -1,105 +1,7 @@
 import numpy as np
 import pytest
 
-from scenemixer.numerics import (
-    ShapeError,
-    coords_from_flat,
-    elementwise,
-    finite_diff_grad,
-    flat_index,
-    reduce_mean,
-    row_major_strides,
-    tensor_fill,
-)
-
-
-def test_tensor_fill_zero():
-    t = tensor_fill([2, 2], 0)
-    assert t.shape == (2, 2)
-    assert np.all(t == 0)
-
-
-def test_tensor_fill_scalar():
-    assert tensor_fill([1], 7.5).tolist() == [7.5]
-
-
-def test_tensor_fill_ones():
-    t = tensor_fill([2, 3, 1, 1], 1)
-    assert t.size == 6 and np.all(t == 1)
-
-
-@pytest.mark.parametrize("shape", [[0], [2, -1], []])
-def test_tensor_fill_bad_shape(shape):
-    with pytest.raises(ShapeError):
-        tensor_fill(shape, 1)
-
-
-def test_elementwise_add():
-    out = elementwise("add", np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-    assert out.tolist() == [4.0, 6.0]
-
-
-def test_elementwise_identity_and_zero(rng):
-    x = rng.standard_normal((3, 4)).astype(np.float32)
-    assert np.array_equal(elementwise("mul", x, np.ones_like(x)), x)
-    assert np.all(elementwise("sub", x, x) == 0)
-
-
-def test_elementwise_shape_mismatch_names_both():
-    with pytest.raises(ShapeError, match=r"\(2,\).*\(3,\)"):
-        elementwise("add", np.zeros(2), np.zeros(3))
-
-
-def test_elementwise_commutative_associative(rng):
-    # add/mul commute exactly; associativity holds to 1e-12 in f64
-    for _ in range(20):
-        a, b, c = (rng.standard_normal(17) for _ in range(3))
-        for op in ("add", "mul"):
-            assert np.array_equal(elementwise(op, a, b), elementwise(op, b, a))
-            lhs = elementwise(op, elementwise(op, a, b), c)
-            rhs = elementwise(op, a, elementwise(op, b, c))
-            assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-def test_reduce_mean_all_axes():
-    assert reduce_mean(np.array([[1.0, 2.0], [3.0, 4.0]]), {0, 1}) == 2.5
-
-
-def test_reduce_mean_empty_is_identity(rng):
-    x = rng.standard_normal((2, 3))
-    assert np.array_equal(reduce_mean(x, set()), x)
-
-
-def test_reduce_mean_single_axis():
-    assert reduce_mean(np.array([[1.0, 3.0], [5.0, 7.0]]), {0}).tolist() == [3.0, 5.0]
-
-
-def test_reduce_mean_bad_axes():
-    x = np.zeros((2, 2))
-    with pytest.raises(ShapeError):
-        reduce_mean(x, [0, 0])
-    with pytest.raises(ShapeError):
-        reduce_mean(x, [2])
-
-
-def test_reduce_mean_equals_sum_over_size(rng):
-    for _ in range(10):
-        x = rng.standard_normal((3, 5, 2))
-        got = reduce_mean(x, {0, 1, 2})
-        assert abs(got - x.sum() / x.size) < 1e-12
-
-
-def test_row_major_round_trip():
-    shape = (2, 3, 4)
-    strides = row_major_strides(shape)
-    assert strides == (12, 4, 1)
-    for flat in range(24):
-        coords = coords_from_flat(shape, flat)
-        assert flat_index(shape, coords) == flat
-    # matches numpy's own row-major layout
-    x = np.arange(24.0).reshape(shape)
-    for coords in np.ndindex(shape):
-        assert x[coords] == x.reshape(-1)[flat_index(shape, coords)]
+from scenemixer.numerics import finite_diff_grad
 
 
 def test_finite_diff_quadratic():
