@@ -152,6 +152,45 @@ def patch_embed_backward(cache: LayerCache, upstream: Tensor):
 # ---------------------------------------------------------------------------
 # depthwise convolution, same padding, one kxk filter per channel
 
+# Images per block of the depthwise tap loop: one block's padded input,
+# products and output stay in L2 across all k*k taps. A constant, because
+# the backward's dw sums block by block: a block size that varied (with the
+# thread count, say) would change its bytes.
+_BLOCK = 4
+
+
+def _padded_blocks(x: Tensor, pad: int):
+    """Yield (start, zero-padded copy of x[start:start + _BLOCK]), reusing one buffer."""
+    n, h, w, c = x.shape
+    buf = np.zeros((min(n, _BLOCK), h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    for start in range(0, n, _BLOCK):
+        block = x[start : start + _BLOCK]
+        xp = buf[: len(block)]
+        xp[:, pad : pad + h, pad : pad + w, :] = block  # the border is never written, so stays zero
+        yield start, xp
+
+
+def _depthwise_taps(src: Tensor, w: Tensor, bias: Tensor) -> Tensor:
+    """bias + same-padded per-channel correlation of src with the (k, k, c) bank w.
+
+    Every output element adds bias first, then the taps in row-major (dy, dx)
+    order, so the result does not depend on how the batch is split into blocks.
+    """
+    k = w.shape[0]
+    n, h, ww, c = src.shape
+    out = np.empty_like(src)
+    prod = np.empty((min(n, _BLOCK), h, ww, c), dtype=np.result_type(src, w))
+    for start, xp in _padded_blocks(src, k // 2):
+        o = out[start : start + _BLOCK]
+        t = prod[: len(o)]
+        o[:] = bias
+        for dy in range(k):
+            for dx in range(k):
+                np.multiply(xp[:, dy : dy + h, dx : dx + ww, :], w[dy, dx], out=t)
+                o += t
+    return out
+
+
 def depthwise_conv_forward(x: Tensor, p: ConvParams):
     w = p.weights
     k = w.shape[0]
@@ -162,16 +201,10 @@ def depthwise_conv_forward(x: Tensor, p: ConvParams):
         raise ShapeError(f"depthwise weights {w.shape} do not match kernel {k} and {c} channels")
     if p.bias.shape != (c,):
         raise ShapeError(f"depthwise bias shape {p.bias.shape} != ({c},)")
-    pad = k // 2
-    xp = np.zeros((n, h + 2 * pad, ww + 2 * pad, c), dtype=x.dtype)
-    xp[:, pad : pad + h, pad : pad + ww, :] = x
-    out = np.empty_like(x)
-    out[:] = p.bias
-    for dy in range(k):
-        for dx in range(k):
-            out += xp[:, dy : dy + h, dx : dx + ww, :] * w[dy, dx]
+    out = _depthwise_taps(x, w, p.bias)
     _record("depthwise_conv", n * h * ww * c * k * k)
-    cache = LayerCache("depthwise_conv", out.shape, {"xp": xp, "weights": w, "x_shape": x.shape})
+    # x itself, not a padded copy: parallel branches over one input share it
+    cache = LayerCache("depthwise_conv", out.shape, {"x": x, "weights": w})
     return out, cache
 
 
@@ -181,19 +214,20 @@ def depthwise_conv(x: Tensor, p: ConvParams) -> Tensor:
 
 def depthwise_conv_backward(cache: LayerCache, upstream: Tensor):
     saved = _consume(cache, "depthwise_conv", upstream)
-    xp, w = saved["xp"], saved["weights"]
-    n, h, ww, c = saved["x_shape"]
+    x, w = saved["x"], saved["weights"]
+    _, h, ww, c = x.shape
     k = w.shape[0]
-    pad = k // 2
-    dxp = np.zeros_like(xp)
     dw = np.zeros_like(w)
-    for dy in range(k):
-        for dx in range(k):
-            dxp[:, dy : dy + h, dx : dx + ww, :] += upstream * w[dy, dx]
-            dw[dy, dx] = np.einsum("nyxc,nyxc->c", xp[:, dy : dy + h, dx : dx + ww, :], upstream)
+    for start, xp in _padded_blocks(x, k // 2):
+        g = upstream[start : start + _BLOCK]
+        for dy in range(k):
+            for dx in range(k):
+                dw[dy, dx] += np.einsum("nyxc,nyxc->c", xp[:, dy : dy + h, dx : dx + ww, :], g)
     db = upstream.sum(axis=(0, 1, 2))
-    dx = dxp[:, pad : pad + h, pad : pad + ww, :]
-    return dx, dw, db
+    # the adjoint of a same-padded correlation is the correlation with the
+    # flipped kernel; the private kernel records no MACs and opens no forward span
+    dx = _depthwise_taps(upstream, w[::-1, ::-1], np.zeros(c, dtype=upstream.dtype))
+    return dx.astype(x.dtype, copy=False), dw, db
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +265,9 @@ def pointwise_conv_backward(cache: LayerCache, upstream: Tensor):
 # GELU with the exact normal CDF (not the tanh approximation)
 
 def gelu_forward(x: Tensor):
-    out = (x * ndtr(x)).astype(x.dtype, copy=False)
-    return out, LayerCache("gelu", out.shape, {"x": x})
+    cdf = ndtr(x)
+    out = (x * cdf).astype(x.dtype, copy=False)
+    return out, LayerCache("gelu", out.shape, {"x": x, "cdf": cdf})
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -240,9 +275,10 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def gelu_backward(cache: LayerCache, upstream: Tensor) -> Tensor:
-    x = _consume(cache, "gelu", upstream)["x"]
+    saved = _consume(cache, "gelu", upstream)
+    x, cdf = saved["x"], saved["cdf"]
     pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    return (upstream * (ndtr(x) + x * pdf)).astype(x.dtype, copy=False)
+    return (upstream * (cdf + x * pdf)).astype(x.dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------

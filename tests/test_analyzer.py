@@ -96,6 +96,22 @@ def test_instrumented_forward_tiny_breakdown(rng):
     }
 
 
+def test_backward_records_no_multiplies(rng):
+    """The counter holds the forward's MACs only: a train forward plus its
+    backward must count exactly what the forward alone counts."""
+    cfg = sm.ModelConfig(input_h=16, input_w=16, input_c=3, patch=4, embed_dim=8,
+                         depth=2, kernels=(3, 5), num_classes=3)
+    net = sm.build(cfg, seed=0)
+    x = rng.random((5, 16, 16, 3), dtype=np.float32)
+    with layers.count_multiplies() as forward_only:
+        sm.forward(net, x, "train")
+    with layers.count_multiplies() as both:
+        probs, caches = sm.forward(net, x, "train")
+        sm.backward(net, caches, probs)
+    assert both.by_layer == forward_only.by_layer
+    assert both.total == forward_only.total == 5 * analyzer.count_macs(cfg)
+
+
 def test_count_params_matches_built_models(rng):
     for trial in range(6):
         cfg = _random_small_config(rng)

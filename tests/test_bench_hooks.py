@@ -49,3 +49,7 @@ def test_traced_train_records_every_layer_span(tmp_path, capsys):
     assert rc == 0, capsys.readouterr().err
     names = {s[0] for s in tracer.spans}
     assert REQUIRED_SPANS <= names, sorted(REQUIRED_SPANS - names)
+    # backward must not run the public forward: its time would be booked to a .fwd span
+    for name, _, _, parent, *_ in tracer.spans:
+        if name.startswith("layers.depthwise_conv.") and name.endswith(".fwd"):
+            assert parent < 0 or not tracer.spans[parent][0].endswith(".bwd"), tracer.spans[parent][0]

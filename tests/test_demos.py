@@ -19,3 +19,4 @@ def test_demo_exits_zero(tmp_path, demo):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert not list(tmp_path.glob("scenemixer_demo_*")), "demo left its temp directory behind"

@@ -68,6 +68,34 @@ def test_depthwise_grads(seed, k):
     _check(db, finite_diff_grad(lambda t: run(x, w, t), b, H))
 
 
+def _exact(rng, shape):
+    """Dyadic values in [0.5, 1]. Every product and sum the depthwise layer
+    forms from them is exact in float32, and positive terms keep each gradient
+    entry away from zero, where the central difference's own rounding would
+    dominate the relative error."""
+    return rng.integers(32, 65, shape) / 64.0
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+@pytest.mark.parametrize("n", [1, 5, 9])
+def test_depthwise_grads_across_batch_blocks(n, k, dtype):
+    # the kernel runs over blocks of 4 images: 1, 5 and 9 end in a first, second and third block
+    rng = _rng(10 * n + k)
+    x, w, b = _exact(rng, (n, 6, 5, 3)), _exact(rng, (k, k, 3)), _exact(rng, 3)
+    r = _exact(rng, (n, 6, 5, 3))
+    out, cache = layers.depthwise_conv_forward(x.astype(dtype), ConvParams(w.astype(dtype), b.astype(dtype)))
+    dx, dw, db = layers.depthwise_conv_backward(cache, r.astype(dtype))
+    assert out.dtype == dx.dtype == dw.dtype == db.dtype == dtype
+
+    def run(x_, w_, b_):
+        return float(np.sum(layers.depthwise_conv(x_, ConvParams(w_, b_)) * r))
+
+    _check(dx, finite_diff_grad(lambda t: run(t, w, b), x, H))
+    _check(dw, finite_diff_grad(lambda t: run(x, t, b), w, H))
+    _check(db, finite_diff_grad(lambda t: run(x, w, t), b, H))
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_pointwise_grads(seed):
     rng = _rng(seed)

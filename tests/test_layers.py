@@ -112,6 +112,16 @@ def test_depthwise_matches_direct_oracle(rng, k):
     assert max_rel_err(got, want) < 1e-6
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_depthwise_batch_equals_per_image_bytes(rng, dtype):
+    # 9 images span three blocks of the tap loop, the last one partial
+    x = rng.standard_normal((9, 6, 5, 3)).astype(dtype)
+    p = ConvParams(rng.standard_normal((5, 5, 3)).astype(dtype), rng.standard_normal(3).astype(dtype))
+    whole = layers.depthwise_conv(x, p)
+    single = np.concatenate([layers.depthwise_conv(x[i : i + 1], p) for i in range(len(x))])
+    assert whole.dtype == dtype and whole.tobytes() == single.tobytes()
+
+
 def test_depthwise_rejects_even_kernel():
     x = np.zeros((1, 4, 4, 1))
     with pytest.raises(ValueError):

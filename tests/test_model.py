@@ -167,6 +167,22 @@ def test_zeroed_branch_equals_single_kernel_model(rng):
     assert np.array_equal(a, b)
 
 
+def test_train_caches_share_block_input_and_hold_no_padded_copy(rng):
+    cfg = sm.ModelConfig(input_h=16, input_w=16, input_c=3, patch=4, embed_dim=8,
+                         depth=2, kernels=(3, 5), num_classes=3)
+    net = sm.build(cfg, seed=0)
+    _, caches = sm.forward(net, rng.random((5, 16, 16, 3), dtype=np.float32), "train")
+    for block in caches.blocks:
+        dw3, dw5 = block["dw"]
+        x = dw3.saved["x"]
+        assert dw5.saved["x"] is x
+        for cache in (dw3, dw5):
+            arrays = [v for v in cache.saved.values() if isinstance(v, np.ndarray)]
+            assert all(a is x or a is cache.saved["weights"] for a in arrays)
+        gelu = block["gelu"].saved
+        assert gelu["cdf"].dtype == gelu["x"].dtype == np.float32
+
+
 def test_full_model_gradient_check():
     """d(cross-entropy)/d(theta) for every parameter of the tiny config."""
     labels = np.array([0, 1, 1])
