@@ -28,7 +28,7 @@ direction = rng.standard_normal(out.shape)
 dx, dw, db = layers.depthwise_conv_backward(cache, direction)
 
 numeric_dw = finite_diff_grad(
-    lambda w: float(np.sum(layers.depthwise_conv(x, ConvParams(w, p.bias)) * direction)),
+    lambda w: float(np.sum(layers.depthwise_conv_forward(x, ConvParams(w, p.bias))[0] * direction)),
     p.weights,
 )
 print(f"depthwise dW vs finite differences: rel err {rel_err(dw, numeric_dw):.2e}")

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .model import ModelConfig
 
 FLOP_CONVENTION = "flops = 2*macs + bias adds (one per conv/dense output element)"
-FLOP_CONVENTION_NO_BIAS = "flops = 2*macs (bias adds excluded)"
 
 # totals published for the original SceneMixer implementation (64x64x3
 # input, 10 classes); our parameter accounting differs, see README
@@ -39,15 +38,14 @@ class CostReport:
     flop_convention: str
 
 
-def _layer_costs(config: ModelConfig, trainable_only: bool, include_bias: bool) -> list:
+def _layer_costs(config: ModelConfig, trainable_only: bool) -> list:
     config.validate()
     p, d, c_in, c_out = config.patch, config.embed_dim, config.input_c, config.num_classes
     g2 = config.grid * (config.input_w // config.patch)
     entries = []
 
     def conv(name, params, macs, out_elems):
-        flops = 2 * macs + (out_elems if include_bias else 0)
-        entries.append(LayerCost(name, params, macs, flops))
+        entries.append(LayerCost(name, params, macs, 2 * macs + out_elems))
 
     conv("patch_embed", p * p * c_in * d + d, g2 * d * (p * p * c_in), g2 * d)
     for i in range(config.depth):
@@ -60,14 +58,14 @@ def _layer_costs(config: ModelConfig, trainable_only: bool, include_bias: bool) 
     return entries
 
 
-def cost_report(config: ModelConfig, trainable_only: bool = False, include_bias: bool = True) -> CostReport:
-    entries = _layer_costs(config, trainable_only, include_bias)
+def cost_report(config: ModelConfig, trainable_only: bool = False) -> CostReport:
+    entries = _layer_costs(config, trainable_only)
     return CostReport(
         entries=entries,
         total_params=sum(e.params for e in entries),
         total_macs=sum(e.macs for e in entries),
         total_flops=sum(e.flops for e in entries),
-        flop_convention=FLOP_CONVENTION if include_bias else FLOP_CONVENTION_NO_BIAS,
+        flop_convention=FLOP_CONVENTION,
     )
 
 
@@ -79,12 +77,8 @@ def count_macs(config: ModelConfig) -> int:
     return cost_report(config).total_macs
 
 
-def count_flops(config: ModelConfig, include_bias: bool = True) -> int:
-    return cost_report(config, include_bias=include_bias).total_flops
-
-
-def matches_eurosat_default(config: ModelConfig) -> bool:
-    return config == ModelConfig.eurosat_default()
+def count_flops(config: ModelConfig) -> int:
+    return cost_report(config).total_flops
 
 
 def format_report(report: CostReport, config: ModelConfig | None = None) -> str:
@@ -96,7 +90,7 @@ def format_report(report: CostReport, config: ModelConfig | None = None) -> str:
         f"{'total':<{name_w}}  {report.total_params:>12,}  {report.total_macs:>14,}  {report.total_flops:>14,}"
     )
     lines.append(f"convention: {report.flop_convention}")
-    if config is not None and matches_eurosat_default(config):
+    if config == ModelConfig.eurosat_default():
         ref = EUROSAT_REFERENCE
         lines.append(
             "reference totals for the original SceneMixer implementation: "

@@ -164,6 +164,11 @@ def normalize(img: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # directory loading
 
+def _breaks_line(name: str) -> bool:
+    """True if str.splitlines, which reads manifests and configs, would split name."""
+    return name.splitlines() != [name]
+
+
 def load_dataset(root) -> DatasetManifest:
     """Scan `root/<class>/<image>.ppm`; classes indexed in sorted name order,
     samples enumerated in sorted path order."""
@@ -175,15 +180,18 @@ def load_dataset(root) -> DatasetManifest:
     manifest = DatasetManifest(class_names)
     for idx, name in enumerate(class_names):
         folder = os.path.join(root, name)
-        if any(ch in name for ch in ",=\n"):
+        if "," in name or "=" in name or _breaks_line(name):
             # class names are stored comma-separated in key=value checkpoint
             # lines and in the comma-separated split manifest
-            raise ValueError(f"class folder {folder!r}: name must not contain ',', '=' or a newline")
+            raise ValueError(f"class folder {folder!r}: name must not contain ',', '=' or a line break")
         files = sorted(f for f in os.listdir(folder) if f.lower().endswith(".ppm"))
         if not files:
             raise ValueError(f"class folder {folder} contains no .ppm images")
         for f in files:
             path = os.path.join(folder, f)
+            if "," in f or _breaks_line(f):
+                # the sample key is a field of the comma-separated split manifest
+                raise ValueError(f"image file {path!r}: name must not contain ',' or a line break")
             if not os.access(path, os.R_OK):
                 raise PermissionError(f"unreadable image file {path}")
             manifest.samples.append(SampleRecord(key=f"{name}/{f}", class_index=idx, path=path))
@@ -262,6 +270,8 @@ def apply_split_csv(manifest: DatasetManifest, text: str):
         if len(parts) != 3:
             raise ValueError(f"split manifest line {lineno}: expected 3 fields")
         key, cls, split = parts
+        if key in assignments:
+            raise ValueError(f"split manifest line {lineno}: duplicate path {key!r}")
         if split not in ("train", "val", "test", "unassigned"):
             raise ValueError(f"split manifest line {lineno}: unknown split {split!r}")
         assignments[key] = (cls, split)

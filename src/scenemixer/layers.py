@@ -3,11 +3,13 @@
 Each `*_forward` returns (output, LayerCache); the matching `*_backward`
 consumes the cache exactly once and returns gradients that are exact for
 the implemented forward (validated against central finite differences).
-Plain convenience wrappers (`gelu`, `dense`, ...) return the output only.
+`*_forward(...)[0]` is the output alone; each layer has no other entry point.
 
 Inputs are (n, y, x, c) arrays. Convolution weights are stored as
 (p, p, c_in, d) for the patch embedding, (k, k, c) for depthwise filters
-and (c_in, c_out) for the pointwise/dense layers.
+and (c_in, c_out) for the pointwise/dense layers. Batch norm's momentum and
+epsilon have no defaults here: `ModelConfig.bn_momentum` (0.99) and
+`ModelConfig.bn_eps` (1e-3) set them.
 """
 
 import contextlib
@@ -35,8 +37,8 @@ class BatchNormState:
     beta: Tensor
     running_mean: Tensor
     running_var: Tensor
-    momentum: float = 0.99
-    epsilon: float = 1e-3
+    momentum: float
+    epsilon: float
 
 
 @dataclass
@@ -124,9 +126,6 @@ def patch_embed_forward(x: Tensor, p: ConvParams):
     return out, cache
 
 
-def patch_embed(x: Tensor, p: ConvParams) -> Tensor:
-    return patch_embed_forward(x, p)[0]
-
 
 def patch_embed_backward(cache: LayerCache, upstream: Tensor):
     saved = _consume(cache, "patch_embed", upstream)
@@ -208,9 +207,6 @@ def depthwise_conv_forward(x: Tensor, p: ConvParams):
     return out, cache
 
 
-def depthwise_conv(x: Tensor, p: ConvParams) -> Tensor:
-    return depthwise_conv_forward(x, p)[0]
-
 
 def depthwise_conv_backward(cache: LayerCache, upstream: Tensor):
     saved = _consume(cache, "depthwise_conv", upstream)
@@ -247,9 +243,6 @@ def pointwise_conv_forward(x: Tensor, p: ConvParams):
     return out, cache
 
 
-def pointwise_conv(x: Tensor, p: ConvParams) -> Tensor:
-    return pointwise_conv_forward(x, p)[0]
-
 
 def pointwise_conv_backward(cache: LayerCache, upstream: Tensor):
     saved = _consume(cache, "pointwise_conv", upstream)
@@ -269,9 +262,6 @@ def gelu_forward(x: Tensor):
     out = (x * cdf).astype(x.dtype, copy=False)
     return out, LayerCache("gelu", out.shape, {"x": x, "cdf": cdf})
 
-
-def gelu(x: Tensor) -> Tensor:
-    return gelu_forward(x)[0]
 
 
 def gelu_backward(cache: LayerCache, upstream: Tensor) -> Tensor:
@@ -308,9 +298,6 @@ def batch_norm_forward(x: Tensor, s: BatchNormState, mode: str):
     return out, cache
 
 
-def batch_norm(x: Tensor, s: BatchNormState, mode: str) -> Tensor:
-    return batch_norm_forward(x, s, mode)[0]
-
 
 def batch_norm_backward(cache: LayerCache, upstream: Tensor):
     saved = _consume(cache, "batch_norm", upstream)
@@ -334,9 +321,6 @@ def global_avg_pool_forward(x: Tensor):
     return out, LayerCache("global_avg_pool", out.shape, {"x_shape": x.shape})
 
 
-def global_avg_pool(x: Tensor) -> Tensor:
-    return global_avg_pool_forward(x)[0]
-
 
 def global_avg_pool_backward(cache: LayerCache, upstream: Tensor) -> Tensor:
     n, h, w, c = _consume(cache, "global_avg_pool", upstream)["x_shape"]
@@ -358,9 +342,6 @@ def dense_forward(x: Tensor, p: ConvParams):
     return out, LayerCache("dense", out.shape, {"x": x, "weights": p.weights})
 
 
-def dense(x: Tensor, p: ConvParams) -> Tensor:
-    return dense_forward(x, p)[0]
-
 
 def dense_backward(cache: LayerCache, upstream: Tensor):
     saved = _consume(cache, "dense", upstream)
@@ -377,9 +358,6 @@ def softmax_forward(x: Tensor):
     out = e / e.sum(axis=1, keepdims=True)
     return out, LayerCache("softmax", out.shape, {"probs": out})
 
-
-def softmax(x: Tensor) -> Tensor:
-    return softmax_forward(x)[0]
 
 
 def softmax_backward(cache: LayerCache, upstream: Tensor) -> Tensor:

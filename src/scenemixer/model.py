@@ -9,7 +9,8 @@ An optional residual connection around the whole block is off by default.
 Checkpoints use a small binary container (magic "SMXC"): little-endian
 u32 version, u32-length-prefixed UTF-8 config block of key=value lines,
 u32 tensor count, then per tensor a u32-length-prefixed UTF-8 name, u32
-rank, u64 extents and raw float32 data.
+rank, u64 extents and raw float32 data. `load` raises `CheckpointError`
+for any file that is not such a container for the config it embeds.
 """
 
 import math
@@ -59,6 +60,9 @@ class ModelConfig:
             problems.append("kernels must be non-empty")
         if any(k < 1 or k % 2 == 0 for k in self.kernels):
             problems.append(f"kernels must be odd and positive, got {self.kernels}")
+        if len(set(self.kernels)) != len(self.kernels):
+            # parameters are named by kernel size, so a repeated size would share one branch's weights
+            problems.append(f"kernels must be distinct, got {self.kernels}")
         if self.num_classes < 2:
             problems.append(f"num_classes must be >= 2, got {self.num_classes}")
         if not self.bn_eps > 0:
@@ -362,8 +366,18 @@ class _Reader:
     def u64s(self, n: int) -> tuple:
         return struct.unpack(f"<{n}Q", self.take(8 * n))
 
+    def text(self, what: str) -> str:
+        """A u32-length-prefixed UTF-8 string."""
+        raw = self.take(self.u32())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{what} at offset {self.pos - len(raw)} is not UTF-8: {exc}") from exc
+
 
 def load(path) -> SceneMixerModel:
+    from .analyzer import count_params  # analyzer imports this module
+
     with open(path, "rb") as fh:
         blob = fh.read()
     r = _Reader(blob)
@@ -372,19 +386,29 @@ def load(path) -> SceneMixerModel:
     version = r.u32()
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    config_blob = r.take(r.u32()).decode("utf-8")
-    config, extras = parse_config_text(config_blob)
+    config_text = r.text("config block")
+    try:
+        config, extras = parse_config_text(config_text)
+    except ValueError as exc:
+        raise CheckpointError(str(exc)) from exc
     count = r.u32()
     tensors = {}
     for _ in range(count):
-        name = r.take(r.u32()).decode("utf-8")
-        rank = r.u32()
-        shape = r.u64s(rank)
+        name = r.text("tensor name")
+        if name in tensors:
+            raise CheckpointError(f"duplicate tensor {name!r} in checkpoint")
+        shape = r.u64s(r.u32())
+        if 0 in shape:
+            # no tensor of any config is empty, and numpy rejects (0, 2**63)
+            raise CheckpointError(f"tensor {name}: zero extent in shape {shape}")
         size = math.prod(shape)  # Python ints: forged extents cannot wrap to a small count
-        data = np.frombuffer(r.take(4 * size), dtype="<f4").reshape(shape).copy()
-        tensors[name] = data
+        tensors[name] = np.frombuffer(r.take(4 * size), dtype="<f4").reshape(shape).copy()
     if r.pos != len(blob):
         raise CheckpointError(f"trailing bytes in checkpoint: {len(blob) - r.pos}")
+    # before build: a forged embed_dim must not allocate its embed_dim**2 weights
+    stored, needed = sum(t.size for t in tensors.values()), count_params(config)
+    if stored != needed:
+        raise CheckpointError(f"stored tensor shapes hold {stored:,} values, the embedded config needs {needed:,}")
 
     model = build(config, seed=0)
     expected = model.all_tensors()

@@ -1,9 +1,11 @@
 """Training protocol: cross-entropy, Adam, plateau LR schedule, epoch loop.
 
 `fit` trains for a fixed number of epochs, monitors validation overall
-accuracy after each one, halves the learning rate after `lr_patience`
-epochs without strict improvement (never below `lr_min`), and finally
-restores the weights of the best validation epoch (earliest on ties).
+accuracy after each one, multiplies the learning rate by `LR_FACTOR` (0.5)
+after `lr_patience` epochs without strict improvement (never below `LR_MIN`,
+5e-5), and finally restores the weights of the best validation epoch
+(earliest on ties). Adam's constants are fixed too: `ADAM_BETA1` 0.9,
+`ADAM_BETA2` 0.999 and `ADAM_EPS` 1e-7.
 """
 
 import math
@@ -14,25 +16,21 @@ import numpy as np
 from . import model as model_mod
 from .numerics import Tensor
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-7
+LR_FACTOR, LR_MIN = 0.5, 5e-5
+
 
 @dataclass
 class TrainConfig:
     epochs: int = 100
     batch_size: int = 32
     lr_init: float = 1e-3
-    lr_factor: float = 0.5
     lr_patience: int = 10
-    lr_min: float = 5e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-7
     seed: int = 0
 
     def validate(self):
-        if not 0 < self.lr_factor < 1:
-            raise ValueError(f"lr_factor must be in (0,1), got {self.lr_factor}")
-        if self.lr_min > self.lr_init:
-            raise ValueError(f"lr_min {self.lr_min} > lr_init {self.lr_init}")
+        if self.lr_init < LR_MIN:
+            raise ValueError(f"lr_init {self.lr_init} is below the learning-rate floor LR_MIN {LR_MIN}")
         if self.lr_patience < 1:
             raise ValueError(f"lr_patience must be >= 1, got {self.lr_patience}")
         if self.batch_size < 1:
@@ -69,11 +67,10 @@ def cross_entropy_with_logit_grad(probs: Tensor, labels):
 class AdamState:
     """First/second moment buffers mirroring a parameter dict, plus step count."""
 
-    def __init__(self, params: dict, beta1=0.9, beta2=0.999, eps=1e-7):
+    def __init__(self, params: dict):
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
@@ -82,7 +79,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
         if not np.isfinite(grads[name]).all():
             raise FloatingPointError(f"non-finite gradient for {name}; aborting training")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for name, p in params.items():
@@ -93,18 +90,16 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * np.square(g)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 class PlateauScheduler:
-    """Multiply lr by `factor` after `patience` epochs without strict
-    improvement of the monitored accuracy; clamp at `lr_min`."""
+    """Multiply lr by `LR_FACTOR` after `patience` epochs without strict
+    improvement of the monitored accuracy; clamp at `LR_MIN`."""
 
-    def __init__(self, lr_init: float, factor: float = 0.5, patience: int = 10, lr_min: float = 5e-5):
+    def __init__(self, lr_init: float, patience: int):
         self.current_lr = lr_init
-        self.factor = factor
         self.patience = patience
-        self.lr_min = lr_min
         self.best_metric = -math.inf
         self.epochs_since_improvement = 0
 
@@ -115,7 +110,7 @@ class PlateauScheduler:
         else:
             self.epochs_since_improvement += 1
             if self.epochs_since_improvement >= self.patience:
-                self.current_lr = max(self.current_lr * self.factor, self.lr_min)
+                self.current_lr = max(self.current_lr * LR_FACTOR, LR_MIN)
                 self.epochs_since_improvement = 0
         return self.current_lr
 
@@ -196,8 +191,8 @@ def fit(model, train_set, val_set, cfg: TrainConfig, log=None):
     x_val, y_val = val_set
     if len(x_train) == 0 or len(x_val) == 0:
         raise ValueError("fit: empty train or validation split")
-    adam = AdamState(model.params, cfg.beta1, cfg.beta2, cfg.adam_eps)
-    sched = PlateauScheduler(cfg.lr_init, cfg.lr_factor, cfg.lr_patience, cfg.lr_min)
+    adam = AdamState(model.params)
+    sched = PlateauScheduler(cfg.lr_init, cfg.lr_patience)
     history = TrainHistory()
     best_snapshot = None
     best_val_oa = -math.inf

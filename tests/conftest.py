@@ -1,5 +1,18 @@
+import os
+import pathlib
+
 import numpy as np
 import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def src_env(**overrides):
+    """os.environ plus `overrides`, with the checkout's src/ first on
+    PYTHONPATH, so a subprocess imports this checkout installed or not."""
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
 
 
 def max_rel_err(a, b, floor=1e-6):

@@ -18,7 +18,7 @@ from scenemixer import train as tr
 from scenemixer.layers import BatchNormState, ConvParams
 from scenemixer.numerics import finite_diff_grad
 
-from conftest import max_rel_err
+from conftest import max_rel_err, src_env
 
 EUROSAT = sm.ModelConfig.eurosat_default()
 TINY = sm.ModelConfig(input_h=4, input_w=4, input_c=1, patch=2, embed_dim=2,
@@ -93,11 +93,11 @@ def test_criterion_04_gradient_suite():
         out, cache = layers.patch_embed_forward(x, p)
         r = rng.standard_normal(out.shape)
         dx, dw, db = layers.patch_embed_backward(cache, r)
-        track(dx, finite_diff_grad(lambda t: float(np.sum(layers.patch_embed(t, p) * r)), x))
+        track(dx, finite_diff_grad(lambda t: float(np.sum(layers.patch_embed_forward(t, p)[0] * r)), x))
         track(dw, finite_diff_grad(
-            lambda t: float(np.sum(layers.patch_embed(x, ConvParams(t, p.bias)) * r)), p.weights))
+            lambda t: float(np.sum(layers.patch_embed_forward(x, ConvParams(t, p.bias))[0] * r)), p.weights))
         track(db, finite_diff_grad(
-            lambda t: float(np.sum(layers.patch_embed(x, ConvParams(p.weights, t)) * r)), p.bias))
+            lambda t: float(np.sum(layers.patch_embed_forward(x, ConvParams(p.weights, t))[0] * r)), p.bias))
         # depthwise
         for k in (3, 5):
             x = rng.standard_normal((1, 5, 5, 2))
@@ -105,24 +105,24 @@ def test_criterion_04_gradient_suite():
             out, cache = layers.depthwise_conv_forward(x, p)
             r = rng.standard_normal(out.shape)
             dx, dw, db = layers.depthwise_conv_backward(cache, r)
-            track(dx, finite_diff_grad(lambda t: float(np.sum(layers.depthwise_conv(t, p) * r)), x))
+            track(dx, finite_diff_grad(lambda t: float(np.sum(layers.depthwise_conv_forward(t, p)[0] * r)), x))
             track(dw, finite_diff_grad(
-                lambda t: float(np.sum(layers.depthwise_conv(x, ConvParams(t, p.bias)) * r)), p.weights))
+                lambda t: float(np.sum(layers.depthwise_conv_forward(x, ConvParams(t, p.bias))[0] * r)), p.weights))
         # pointwise
         x = rng.standard_normal((1, 3, 3, 2))
         p = ConvParams(rng.standard_normal((2, 4)), rng.standard_normal(4))
         out, cache = layers.pointwise_conv_forward(x, p)
         r = rng.standard_normal(out.shape)
         dx, dw, db = layers.pointwise_conv_backward(cache, r)
-        track(dx, finite_diff_grad(lambda t: float(np.sum(layers.pointwise_conv(t, p) * r)), x))
+        track(dx, finite_diff_grad(lambda t: float(np.sum(layers.pointwise_conv_forward(t, p)[0] * r)), x))
         track(dw, finite_diff_grad(
-            lambda t: float(np.sum(layers.pointwise_conv(x, ConvParams(t, p.bias)) * r)), p.weights))
+            lambda t: float(np.sum(layers.pointwise_conv_forward(x, ConvParams(t, p.bias))[0] * r)), p.weights))
         # gelu
         x = rng.standard_normal((3, 4)) * 2
         out, cache = layers.gelu_forward(x)
         r = rng.standard_normal(out.shape)
         track(layers.gelu_backward(cache, r),
-              finite_diff_grad(lambda t: float(np.sum(layers.gelu(t) * r)), x))
+              finite_diff_grad(lambda t: float(np.sum(layers.gelu_forward(t)[0] * r)), x))
         # batch norm, both modes
         for mode in ("train", "infer"):
             x = rng.standard_normal((2, 3, 3, 2))
@@ -135,30 +135,30 @@ def test_criterion_04_gradient_suite():
             r = rng.standard_normal(out.shape)
             dx, dgamma, dbeta = layers.batch_norm_backward(cache, r)
             track(dx, finite_diff_grad(
-                lambda t: float(np.sum(layers.batch_norm(t, fresh(), mode) * r)), x))
+                lambda t: float(np.sum(layers.batch_norm_forward(t, fresh(), mode)[0] * r)), x))
             track(dgamma, finite_diff_grad(
-                lambda t: float(np.sum(layers.batch_norm(
-                    x, BatchNormState(t.copy(), beta.copy(), np.zeros(2), np.ones(2), 0.99, 1e-3), mode) * r)),
+                lambda t: float(np.sum(layers.batch_norm_forward(
+                    x, BatchNormState(t.copy(), beta.copy(), np.zeros(2), np.ones(2), 0.99, 1e-3), mode)[0] * r)),
                 gamma))
         # pooling, dense, softmax
         x = rng.standard_normal((2, 3, 3, 2))
         out, cache = layers.global_avg_pool_forward(x)
         r = rng.standard_normal(out.shape)
         track(layers.global_avg_pool_backward(cache, r),
-              finite_diff_grad(lambda t: float(np.sum(layers.global_avg_pool(t) * r)), x))
+              finite_diff_grad(lambda t: float(np.sum(layers.global_avg_pool_forward(t)[0] * r)), x))
         x = rng.standard_normal((3, 4))
         p = ConvParams(rng.standard_normal((4, 3)), rng.standard_normal(3))
         out, cache = layers.dense_forward(x, p)
         r = rng.standard_normal(out.shape)
         dx, dw, db = layers.dense_backward(cache, r)
-        track(dx, finite_diff_grad(lambda t: float(np.sum(layers.dense(t, p) * r)), x))
+        track(dx, finite_diff_grad(lambda t: float(np.sum(layers.dense_forward(t, p)[0] * r)), x))
         track(dw, finite_diff_grad(
-            lambda t: float(np.sum(layers.dense(x, ConvParams(t, p.bias)) * r)), p.weights))
+            lambda t: float(np.sum(layers.dense_forward(x, ConvParams(t, p.bias))[0] * r)), p.weights))
         x = rng.standard_normal((2, 4))
         out, cache = layers.softmax_forward(x)
         r = rng.standard_normal(out.shape)
         track(layers.softmax_backward(cache, r),
-              finite_diff_grad(lambda t: float(np.sum(layers.softmax(t) * r)), x))
+              finite_diff_grad(lambda t: float(np.sum(layers.softmax_forward(t)[0] * r)), x))
         # full tiny model, every parameter
         net = sm.build(TINY, seed=seed, dtype=np.float64)
         xin = rng.standard_normal((2, 4, 4, 1))
@@ -265,7 +265,7 @@ def test_criterion_07_desk_scale_learning():
 
 
 def test_criterion_08_scheduler_conformance():
-    sched = tr.PlateauScheduler(1e-3, factor=0.5, patience=10, lr_min=5e-5)
+    sched = tr.PlateauScheduler(1e-3, patience=10)
     trace = [sched.update(0.5) for _ in range(120)]  # never improves after call 1
     # halvings land exactly when each 10-epoch stagnation window closes
     expected = []
@@ -322,7 +322,7 @@ def _run_pipeline(workdir, threads):
     ]
     for step in steps:
         proc = subprocess.run([sys.executable, "-m", "scenemixer", *step],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0, f"{step} failed:\n{proc.stderr}"
     artifacts = {}
     for p in sorted(workdir.rglob("*")):

@@ -1,5 +1,3 @@
-import os
-import pathlib
 import subprocess
 import sys
 
@@ -9,6 +7,8 @@ import pytest
 from scenemixer import cli
 from scenemixer import data as dm
 from scenemixer import model as sm
+
+from conftest import src_env
 
 TINY_CONFIG_TEXT = """\
 input=16x16x3
@@ -28,17 +28,12 @@ def run_inproc(args):
     return cli.main(args)
 
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
-
-
 def run_subproc(args, check=False):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "scenemixer", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env(),
         timeout=300,
     )
     if check and proc.returncode != 0:
@@ -213,3 +208,29 @@ def test_format_breaking_class_folder_is_runtime_error(tmp_path, tiny_dataset, t
     assert run_inproc(args) == 2
     assert "a,b" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists() and not (tmp_path / "m.smxc").exists()
+
+
+@pytest.mark.parametrize("command", ["split", "train"])
+def test_format_breaking_image_name_is_runtime_error(tmp_path, tiny_dataset, tiny_config, command, capsys):
+    folder = tiny_dataset / "01_checkerboard"
+    (folder / "0003.ppm").rename(folder / "a,b.ppm")
+    args = {"split": ["split", "--data", str(tiny_dataset), "--out", str(tmp_path / "s.csv")],
+            "train": ["train", "--data", str(tiny_dataset), "--config", str(tiny_config),
+                      "--epochs", "1", "--out", str(tmp_path / "m.smxc"), "--quiet"]}[command]
+    assert run_inproc(args) == 2
+    assert "a,b.ppm" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists() and not (tmp_path / "m.smxc").exists()
+
+
+def test_duplicate_manifest_path_is_runtime_error(tmp_path, tiny_dataset, tiny_config, capsys):
+    manifest = tmp_path / "split.csv"
+    assert run_inproc(["split", "--data", str(tiny_dataset), "--out", str(manifest)]) == 0
+    first = manifest.read_text().splitlines()[1]
+    key, cls, split = first.split(",")
+    with open(manifest, "a") as fh:
+        fh.write(f"{key},{cls},{'val' if split == 'train' else 'train'}\n")
+    args = ["train", "--data", str(tiny_dataset), "--config", str(tiny_config), "--epochs", "1",
+            "--manifest", str(manifest), "--out", str(tmp_path / "m.smxc"), "--quiet"]
+    assert run_inproc(args) == 2
+    assert f"duplicate path '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "m.smxc").exists()

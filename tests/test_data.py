@@ -279,8 +279,26 @@ def test_write_dataset_round_trip(tmp_path):
     assert np.max(np.abs(img - manifest.samples[0].image)) <= 0.5 / 255.0 + 1e-6
 
 
-@pytest.mark.parametrize("bad", ["a,b", "a=b", "a\nb"])
+@pytest.mark.parametrize("bad", ["a,b", "a=b", "a\nb", "a\rb"])
 def test_load_dataset_rejects_format_breaking_class_names(tmp_path, bad):
     _write_tree(tmp_path, [bad, "c"], [3, 3])
     with pytest.raises(ValueError, match="class folder .*must not contain"):
         dm.load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("bad", ["a,b.ppm", "a\nb.ppm", "a\rb.ppm"])
+def test_load_dataset_rejects_format_breaking_image_names(tmp_path, bad):
+    _write_tree(tmp_path, ["a", "b"], [3, 3])
+    (tmp_path / "b" / "001.ppm").rename(tmp_path / "b" / bad)
+    with pytest.raises(ValueError, match=r"image file .*b.*must not contain ',' or a line break") as info:
+        dm.load_dataset(tmp_path)
+    assert repr(bad)[1:-1] in str(info.value)
+
+
+def test_apply_split_csv_rejects_duplicate_path():
+    manifest = dm.stratified_split(_memory_manifest(10), dm.SplitSpec(seed=2))
+    lines = dm.manifest_to_csv(manifest).splitlines()
+    key, cls, _ = lines[1].split(",")
+    moved = ",".join([key, cls, "val" if manifest.samples[0].split == "train" else "train"])
+    with pytest.raises(ValueError, match=f"line {len(lines) + 1}: duplicate path '{key}'"):
+        dm.apply_split_csv(_memory_manifest(10), "\n".join(lines + [moved]) + "\n")

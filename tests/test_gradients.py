@@ -42,7 +42,7 @@ def test_patch_embed_grads(seed):
     dx, dw, db = layers.patch_embed_backward(cache, r)
 
     def run(x_, w_, b_):
-        return float(np.sum(layers.patch_embed(x_, ConvParams(w_, b_)) * r))
+        return float(np.sum(layers.patch_embed_forward(x_, ConvParams(w_, b_))[0] * r))
 
     _check(dx, finite_diff_grad(lambda t: run(t, w, b), x, H))
     _check(dw, finite_diff_grad(lambda t: run(x, t, b), w, H))
@@ -61,7 +61,7 @@ def test_depthwise_grads(seed, k):
     dx, dw, db = layers.depthwise_conv_backward(cache, r)
 
     def run(x_, w_, b_):
-        return float(np.sum(layers.depthwise_conv(x_, ConvParams(w_, b_)) * r))
+        return float(np.sum(layers.depthwise_conv_forward(x_, ConvParams(w_, b_))[0] * r))
 
     _check(dx, finite_diff_grad(lambda t: run(t, w, b), x, H))
     _check(dw, finite_diff_grad(lambda t: run(x, t, b), w, H))
@@ -89,7 +89,7 @@ def test_depthwise_grads_across_batch_blocks(n, k, dtype):
     assert out.dtype == dx.dtype == dw.dtype == db.dtype == dtype
 
     def run(x_, w_, b_):
-        return float(np.sum(layers.depthwise_conv(x_, ConvParams(w_, b_)) * r))
+        return float(np.sum(layers.depthwise_conv_forward(x_, ConvParams(w_, b_))[0] * r))
 
     _check(dx, finite_diff_grad(lambda t: run(t, w, b), x, H))
     _check(dw, finite_diff_grad(lambda t: run(x, t, b), w, H))
@@ -107,7 +107,7 @@ def test_pointwise_grads(seed):
     dx, dw, db = layers.pointwise_conv_backward(cache, r)
 
     def run(x_, w_, b_):
-        return float(np.sum(layers.pointwise_conv(x_, ConvParams(w_, b_)) * r))
+        return float(np.sum(layers.pointwise_conv_forward(x_, ConvParams(w_, b_))[0] * r))
 
     _check(dx, finite_diff_grad(lambda t: run(t, w, b), x, H))
     _check(dw, finite_diff_grad(lambda t: run(x, t, b), w, H))
@@ -121,7 +121,7 @@ def test_gelu_grad(seed):
     out, cache = layers.gelu_forward(x)
     r = _proj(rng, out.shape)
     dx = layers.gelu_backward(cache, r)
-    _check(dx, finite_diff_grad(lambda t: float(np.sum(layers.gelu(t) * r)), x, H))
+    _check(dx, finite_diff_grad(lambda t: float(np.sum(layers.gelu_forward(t)[0] * r)), x, H))
 
 
 def _fresh_state(c, gamma, beta):
@@ -141,7 +141,7 @@ def test_batch_norm_grads(seed, mode):
     dx, dgamma, dbeta = layers.batch_norm_backward(cache, r)
 
     def run(x_, g_, b_):
-        return float(np.sum(layers.batch_norm(x_, _fresh_state(c, g_, b_), mode) * r))
+        return float(np.sum(layers.batch_norm_forward(x_, _fresh_state(c, g_, b_), mode)[0] * r))
 
     _check(dx, finite_diff_grad(lambda t: run(t, gamma, beta), x, H))
     _check(dgamma, finite_diff_grad(lambda t: run(x, t, beta), gamma, H))
@@ -155,7 +155,7 @@ def test_gap_grad(seed):
     out, cache = layers.global_avg_pool_forward(x)
     r = _proj(rng, out.shape)
     dx = layers.global_avg_pool_backward(cache, r)
-    _check(dx, finite_diff_grad(lambda t: float(np.sum(layers.global_avg_pool(t) * r)), x, H))
+    _check(dx, finite_diff_grad(lambda t: float(np.sum(layers.global_avg_pool_forward(t)[0] * r)), x, H))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -169,7 +169,7 @@ def test_dense_grads(seed):
     dx, dw, db = layers.dense_backward(cache, r)
 
     def run(x_, w_, b_):
-        return float(np.sum(layers.dense(x_, ConvParams(w_, b_)) * r))
+        return float(np.sum(layers.dense_forward(x_, ConvParams(w_, b_))[0] * r))
 
     _check(dx, finite_diff_grad(lambda t: run(t, w, b), x, H))
     _check(dw, finite_diff_grad(lambda t: run(x, t, b), w, H))
@@ -183,4 +183,4 @@ def test_softmax_grad(seed):
     out, cache = layers.softmax_forward(x)
     r = _proj(rng, out.shape)
     dx = layers.softmax_backward(cache, r)
-    _check(dx, finite_diff_grad(lambda t: float(np.sum(layers.softmax(t) * r)), x, H))
+    _check(dx, finite_diff_grad(lambda t: float(np.sum(layers.softmax_forward(t)[0] * r)), x, H))

@@ -23,34 +23,34 @@ def _params(w, b=None):
 def test_patch_embed_all_ones_patch():
     x = np.ones((1, 4, 4, 1))
     p = _params(np.ones((4, 4, 1, 1)))
-    out = layers.patch_embed(x, p)
+    out = layers.patch_embed_forward(x, p)[0]
     assert out.shape == (1, 1, 1, 1)
     assert out[0, 0, 0, 0] == 16.0
 
 
 def test_patch_embed_grid_shape():
     x = np.zeros((1, 8, 8, 1))
-    out = layers.patch_embed(x, _params(np.zeros((4, 4, 1, 1))))
+    out = layers.patch_embed_forward(x, _params(np.zeros((4, 4, 1, 1))))[0]
     assert out.shape == (1, 2, 2, 1)
 
 
 def test_patch_embed_default_grid():
     x = np.zeros((2, 64, 64, 3), np.float32)
     p = ConvParams(np.zeros((4, 4, 3, 128), np.float32), np.zeros(128, np.float32))
-    assert layers.patch_embed(x, p).shape == (2, 16, 16, 128)
+    assert layers.patch_embed_forward(x, p)[0].shape == (2, 16, 16, 128)
 
 
 def test_patch_embed_rejects_nondivisible():
     x = np.zeros((1, 6, 8, 1))
     with pytest.raises(ShapeError):
-        layers.patch_embed(x, _params(np.zeros((4, 4, 1, 1))))
+        layers.patch_embed_forward(x, _params(np.zeros((4, 4, 1, 1))))[0]
 
 
 def test_patch_embed_matches_loops(rng):
     # brute-force oracle: walk patches and filters explicitly
     x = rng.standard_normal((2, 8, 8, 3))
     p = _params(rng.standard_normal((4, 4, 3, 5)), rng.standard_normal(5))
-    out = layers.patch_embed(x, p)
+    out = layers.patch_embed_forward(x, p)[0]
     for n in range(2):
         for gy in range(2):
             for gx in range(2):
@@ -68,7 +68,7 @@ def test_patch_embed_matches_loops(rng):
 
 def test_depthwise_zero_padding_tap_counts():
     x = np.ones((1, 3, 3, 1))
-    out = layers.depthwise_conv(x, _params(np.ones((3, 3, 1))))
+    out = layers.depthwise_conv_forward(x, _params(np.ones((3, 3, 1))))[0]
     expected = np.array([[4, 6, 4], [6, 9, 6], [4, 6, 4]], dtype=np.float64)
     assert np.array_equal(out[0, :, :, 0], expected)
 
@@ -76,10 +76,10 @@ def test_depthwise_zero_padding_tap_counts():
 def test_depthwise_channel_independence(rng):
     x = rng.standard_normal((1, 6, 6, 2))
     p = _params(rng.standard_normal((3, 3, 2)), rng.standard_normal(2))
-    base = layers.depthwise_conv(x, p)
+    base = layers.depthwise_conv_forward(x, p)[0]
     bumped = x.copy()
     bumped[..., 1] += rng.standard_normal((1, 6, 6))
-    out = layers.depthwise_conv(bumped, p)
+    out = layers.depthwise_conv_forward(bumped, p)[0]
     assert np.array_equal(out[..., 0], base[..., 0])
     assert not np.array_equal(out[..., 1], base[..., 1])
 
@@ -107,7 +107,7 @@ def _direct_depthwise(x, w, b, k):
 def test_depthwise_matches_direct_oracle(rng, k):
     x = rng.standard_normal((1, 5, 5, 2))
     p = _params(rng.standard_normal((k, k, 2)), rng.standard_normal(2))
-    got = layers.depthwise_conv(x, p)
+    got = layers.depthwise_conv_forward(x, p)[0]
     want = _direct_depthwise(x, p.weights, p.bias, k)
     assert max_rel_err(got, want) < 1e-6
 
@@ -117,21 +117,21 @@ def test_depthwise_batch_equals_per_image_bytes(rng, dtype):
     # 9 images span three blocks of the tap loop, the last one partial
     x = rng.standard_normal((9, 6, 5, 3)).astype(dtype)
     p = ConvParams(rng.standard_normal((5, 5, 3)).astype(dtype), rng.standard_normal(3).astype(dtype))
-    whole = layers.depthwise_conv(x, p)
-    single = np.concatenate([layers.depthwise_conv(x[i : i + 1], p) for i in range(len(x))])
+    whole = layers.depthwise_conv_forward(x, p)[0]
+    single = np.concatenate([layers.depthwise_conv_forward(x[i : i + 1], p)[0] for i in range(len(x))])
     assert whole.dtype == dtype and whole.tobytes() == single.tobytes()
 
 
 def test_depthwise_rejects_even_kernel():
     x = np.zeros((1, 4, 4, 1))
     with pytest.raises(ValueError):
-        layers.depthwise_conv(x, _params(np.zeros((2, 2, 1))))
+        layers.depthwise_conv_forward(x, _params(np.zeros((2, 2, 1))))[0]
 
 
 def test_depthwise_rejects_channel_mismatch():
     x = np.zeros((1, 4, 4, 3))
     with pytest.raises(ShapeError):
-        layers.depthwise_conv(x, _params(np.zeros((3, 3, 2))))
+        layers.depthwise_conv_forward(x, _params(np.zeros((3, 3, 2))))[0]
 
 
 def test_depthwise_translation_equivariance(rng):
@@ -140,9 +140,9 @@ def test_depthwise_translation_equivariance(rng):
     k, h = 3, 8
     x = rng.standard_normal((1, h, h, 2))
     p = _params(rng.standard_normal((k, k, 2)))
-    base = layers.depthwise_conv(x, p)
+    base = layers.depthwise_conv_forward(x, p)[0]
     shifted = np.roll(x, 1, axis=1)
-    out = layers.depthwise_conv(shifted, p)
+    out = layers.depthwise_conv_forward(shifted, p)[0]
     # rows 2..h-2 of the shifted output equal rows 1..h-3 of the base
     assert np.allclose(out[:, 2 : h - 1, 1 : h - 1], base[:, 1 : h - 2, 1 : h - 1], atol=1e-12)
 
@@ -153,13 +153,13 @@ def test_depthwise_translation_equivariance(rng):
 def test_pointwise_small_case():
     x = np.array([[[[1.0, 2.0]]]])
     w = np.array([[1.0, 1.0], [1.0, -1.0]])  # out0 sums, out1 differences
-    out = layers.pointwise_conv(x, _params(w))
+    out = layers.pointwise_conv_forward(x, _params(w))[0]
     assert out[0, 0, 0].tolist() == [3.0, -1.0]
 
 
 def test_pointwise_identity(rng):
     x = rng.standard_normal((2, 3, 3, 4))
-    out = layers.pointwise_conv(x, _params(np.eye(4)))
+    out = layers.pointwise_conv_forward(x, _params(np.eye(4)))[0]
     assert np.allclose(out, x, atol=1e-12)
 
 
@@ -168,14 +168,14 @@ def test_pointwise_commutes_with_spatial_permutation(rng):
     p = _params(rng.standard_normal((3, 6)), rng.standard_normal(6))
     perm_y = rng.permutation(4)
     perm_x = rng.permutation(5)
-    a = layers.pointwise_conv(x[:, perm_y][:, :, perm_x], p)
-    b = layers.pointwise_conv(x, p)[:, perm_y][:, :, perm_x]
+    a = layers.pointwise_conv_forward(x[:, perm_y][:, :, perm_x], p)[0]
+    b = layers.pointwise_conv_forward(x, p)[0][:, perm_y][:, :, perm_x]
     assert np.array_equal(a, b)
 
 
 def test_pointwise_rejects_channel_mismatch():
     with pytest.raises(ShapeError):
-        layers.pointwise_conv(np.zeros((1, 2, 2, 3)), _params(np.zeros((4, 2))))
+        layers.pointwise_conv_forward(np.zeros((1, 2, 2, 3)), _params(np.zeros((4, 2))))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -192,18 +192,18 @@ def _phi_series(x, terms=40):
 
 
 def test_gelu_zero():
-    assert layers.gelu(np.zeros(1))[0] == 0.0
+    assert layers.gelu_forward(np.zeros(1))[0][0] == 0.0
 
 
 def test_gelu_one_matches_series():
     want = 1.0 * _phi_series(1.0)
-    got = layers.gelu(np.array([1.0]))[0]
+    got = layers.gelu_forward(np.array([1.0]))[0][0]
     assert abs(got - want) < 1e-6
     assert abs(got - 0.8413447460685429) < 1e-6
 
 
 def test_gelu_negative_tail():
-    assert abs(layers.gelu(np.array([-10.0]))[0]) < 1e-9
+    assert abs(layers.gelu_forward(np.array([-10.0]))[0][0]) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +218,7 @@ def _bn_state(c, eps=1e-3, momentum=0.99, dtype=np.float64):
 
 def test_batch_norm_two_values():
     x = np.array([1.0, 3.0]).reshape(2, 1, 1, 1)
-    out = layers.batch_norm(x, _bn_state(1), "train")
+    out = layers.batch_norm_forward(x, _bn_state(1), "train")[0]
     want = 1.0 / math.sqrt(1.0 + 1e-3)
     assert abs(out[0, 0, 0, 0] + want) < 1e-12
     assert abs(out[1, 0, 0, 0] - want) < 1e-12
@@ -226,13 +226,13 @@ def test_batch_norm_two_values():
 
 def test_batch_norm_constant_channel():
     x = np.full((1, 2, 2, 1), 5.0)
-    out = layers.batch_norm(x, _bn_state(1), "train")
+    out = layers.batch_norm_forward(x, _bn_state(1), "train")[0]
     assert np.max(np.abs(out)) < 1e-9
 
 
 def test_batch_norm_infer_near_identity(rng):
     x = rng.standard_normal((2, 3, 3, 4))
-    out = layers.batch_norm(x, _bn_state(4), "infer")
+    out = layers.batch_norm_forward(x, _bn_state(4), "infer")[0]
     assert np.allclose(out, x / math.sqrt(1.0 + 1e-3), atol=1e-12)
 
 
@@ -240,7 +240,7 @@ def test_batch_norm_train_statistics(rng):
     # exactly standardized input, so the output variance must be 1/(1+eps)
     x = rng.standard_normal((4, 5, 5, 3)) * 3.0 + 1.5
     x = (x - x.mean(axis=(0, 1, 2))) / x.std(axis=(0, 1, 2))
-    out = layers.batch_norm(x, _bn_state(3), "train")
+    out = layers.batch_norm_forward(x, _bn_state(3), "train")[0]
     mean = out.mean(axis=(0, 1, 2))
     var = out.var(axis=(0, 1, 2))
     assert np.max(np.abs(mean)) < 1e-6
@@ -251,7 +251,7 @@ def test_batch_norm_train_statistics(rng):
 def test_batch_norm_updates_running_stats(rng):
     x = rng.standard_normal((2, 4, 4, 2)) + 2.0
     s = _bn_state(2, momentum=0.9)
-    layers.batch_norm(x, s, "train")
+    layers.batch_norm_forward(x, s, "train")[0]
     want_mean = 0.9 * 0.0 + 0.1 * x.mean(axis=(0, 1, 2))
     want_var = 0.9 * 1.0 + 0.1 * x.var(axis=(0, 1, 2))
     assert np.allclose(s.running_mean, want_mean, atol=1e-12)
@@ -262,14 +262,14 @@ def test_batch_norm_infer_does_not_mutate(rng):
     x = rng.standard_normal((2, 4, 4, 2))
     s = _bn_state(2)
     before = (s.running_mean.copy(), s.running_var.copy())
-    layers.batch_norm(x, s, "infer")
+    layers.batch_norm_forward(x, s, "infer")[0]
     assert np.array_equal(s.running_mean, before[0])
     assert np.array_equal(s.running_var, before[1])
 
 
 def test_batch_norm_rejects_single_element():
     with pytest.raises(ValueError):
-        layers.batch_norm(np.zeros((1, 1, 1, 2)), _bn_state(2), "train")
+        layers.batch_norm_forward(np.zeros((1, 1, 1, 2)), _bn_state(2), "train")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -277,17 +277,17 @@ def test_batch_norm_rejects_single_element():
 
 def test_gap_small_case():
     x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1)
-    assert layers.global_avg_pool(x)[0, 0] == 2.5
+    assert layers.global_avg_pool_forward(x)[0][0, 0] == 2.5
 
 
 def test_gap_constant():
     x = np.full((2, 3, 3, 4), 7.25)
-    assert np.all(layers.global_avg_pool(x) == 7.25)
+    assert np.all(layers.global_avg_pool_forward(x)[0] == 7.25)
 
 
 def test_gap_matches_reduce_mean(rng):
     x = rng.standard_normal((2, 4, 5, 3))
-    assert np.array_equal(layers.global_avg_pool(x), np.mean(x, axis=(1, 2)))
+    assert np.array_equal(layers.global_avg_pool_forward(x)[0], np.mean(x, axis=(1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -295,19 +295,19 @@ def test_gap_matches_reduce_mean(rng):
 
 def test_dense_small_case():
     x = np.array([[1.0, 0.0]])
-    out = layers.dense(x, _params(np.array([[2.0, 3.0], [5.0, 7.0]]), [1.0, 1.0]))
+    out = layers.dense_forward(x, _params(np.array([[2.0, 3.0], [5.0, 7.0]]), [1.0, 1.0]))[0]
     assert out[0].tolist() == [3.0, 4.0]
 
 
 def test_dense_identity(rng):
     x = rng.standard_normal((3, 4))
-    assert np.allclose(layers.dense(x, _params(np.eye(4))), x, atol=1e-15)
+    assert np.allclose(layers.dense_forward(x, _params(np.eye(4)))[0], x, atol=1e-15)
 
 
 def test_dense_matches_loops(rng):
     x = rng.standard_normal((3, 5))
     p = _params(rng.standard_normal((5, 4)), rng.standard_normal(4))
-    out = layers.dense(x, p)
+    out = layers.dense_forward(x, p)[0]
     for i in range(3):
         for j in range(4):
             acc = p.bias[j]
@@ -318,19 +318,19 @@ def test_dense_matches_loops(rng):
 
 def test_dense_rejects_mismatch():
     with pytest.raises(ShapeError):
-        layers.dense(np.zeros((2, 3)), _params(np.zeros((4, 2))))
+        layers.dense_forward(np.zeros((2, 3)), _params(np.zeros((4, 2))))[0]
 
 
 # ---------------------------------------------------------------------------
 # softmax
 
 def test_softmax_uniform():
-    out = layers.softmax(np.zeros((1, 10)))
+    out = layers.softmax_forward(np.zeros((1, 10)))[0]
     assert np.allclose(out, 0.1, atol=1e-12)
 
 
 def test_softmax_large_values_no_overflow():
-    out = layers.softmax(np.array([[1000.0, 1000.0]]))
+    out = layers.softmax_forward(np.array([[1000.0, 1000.0]]))[0]
     assert np.allclose(out, [0.5, 0.5])
     assert np.all(np.isfinite(out))
 
@@ -338,12 +338,12 @@ def test_softmax_large_values_no_overflow():
 def test_softmax_shift_invariance(rng):
     x = rng.standard_normal((4, 6))
     shifted = x + 3.7
-    assert np.max(np.abs(layers.softmax(x) - layers.softmax(shifted))) < 1e-12
+    assert np.max(np.abs(layers.softmax_forward(x)[0] - layers.softmax_forward(shifted)[0])) < 1e-12
 
 
 def test_softmax_rows_and_argmax(rng):
     x = rng.standard_normal((8, 5)).astype(np.float32) * 4
-    out = layers.softmax(x)
+    out = layers.softmax_forward(x)[0]
     assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-6
     assert np.array_equal(np.argmax(out, axis=1), np.argmax(x, axis=1))
 

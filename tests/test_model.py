@@ -42,6 +42,11 @@ def test_config_rejects_zero_depth():
         sm.ModelConfig(input_h=64, input_w=64, input_c=3, depth=0).validate()
 
 
+def test_config_rejects_repeated_kernel():
+    with pytest.raises(ValueError, match="kernels must be distinct"):
+        sm.ModelConfig(input_h=4, input_w=4, input_c=1, patch=2, kernels=(5, 5)).validate()
+
+
 def test_forward_probs_shape_and_rowsums(rng):
     net = sm.build(sm.ModelConfig.eurosat_default(), seed=0)
     x = rng.random((2, 64, 64, 3), dtype=np.float32)
@@ -339,3 +344,99 @@ def test_checkpoint_class_name_count_must_match(tmp_path):
     sm.save(net, path)
     with pytest.raises(sm.CheckpointError, match="3 class names for 2 classes"):
         sm.load(path)
+
+
+def _saved_blob(tmp_path):
+    net = sm.build(TINY, seed=4)
+    net.class_names = ["water", "forest"]
+    path = tmp_path / "tiny.smxc"
+    sm.save(net, path)
+    return path, path.read_bytes()
+
+
+def _config_span(blob):
+    """(start, end) of the config block inside a checkpoint blob."""
+    (n,) = struct.unpack_from("<I", blob, 8)
+    return 12, 12 + n
+
+
+def _replace_config(blob, old, new):
+    start, end = _config_span(blob)
+    config = blob[start:end]
+    assert config.count(old) == 1
+    config = config.replace(old, new)
+    return blob[:8] + struct.pack("<I", len(config)) + config + blob[end:]
+
+
+def test_checkpoint_duplicate_tensor_rejected(tmp_path):
+    path, blob = _saved_blob(tmp_path)
+    _, end = _config_span(blob)
+    (count,) = struct.unpack_from("<I", blob, end)
+    # a second embed.weights filled with 7.0, appended after the genuine one
+    name = b"embed.weights"
+    record = (struct.pack("<I", len(name)) + name + struct.pack("<I4Q", 4, 2, 2, 1, 2)
+              + np.full(8, 7.0, dtype="<f4").tobytes())
+    path.write_bytes(blob[:end] + struct.pack("<I", count + 1) + blob[end + 4 :] + record)
+    with pytest.raises(sm.CheckpointError, match="duplicate tensor 'embed.weights'"):
+        sm.load(path)
+
+
+def test_checkpoint_non_utf8_tensor_name_rejected(tmp_path):
+    path, blob = _saved_blob(tmp_path)
+    at = blob.index(b"embed.weights")
+    path.write_bytes(blob[:at] + b"\xff" + blob[at + 1 :])
+    with pytest.raises(sm.CheckpointError, match="tensor name .* not UTF-8"):
+        sm.load(path)
+
+
+def test_checkpoint_non_utf8_config_rejected(tmp_path):
+    path, blob = _saved_blob(tmp_path)
+    path.write_bytes(_replace_config(blob, b"water", b"wat\xffr"))
+    with pytest.raises(sm.CheckpointError, match="config block .* not UTF-8"):
+        sm.load(path)
+
+
+def test_checkpoint_config_error_keeps_message(tmp_path):
+    path, blob = _saved_blob(tmp_path)
+    path.write_bytes(_replace_config(blob, b"bn_momentum=0.99", b"bn_momentum=9.99"))
+    with pytest.raises(sm.CheckpointError, match=r"bn_momentum must be in \(0,1\), got 9.99") as info:
+        sm.load(path)
+    assert type(info.value.__cause__) is ValueError
+
+
+def test_checkpoint_element_count_checked_before_build(tmp_path, monkeypatch):
+    path, blob = _saved_blob(tmp_path)
+    path.write_bytes(_replace_config(blob, b"embed_dim=2", b"embed_dim=4096"))
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("build ran for a checkpoint whose tensors cannot fit its config")
+
+    monkeypatch.setattr(sm, "build", no_build)
+    with pytest.raises(sm.CheckpointError, match="hold 102 values, the embedded config needs 16,973,826"):
+        sm.load(path)
+
+
+def test_checkpoint_zero_extent_rejected(tmp_path):
+    path, blob = _saved_blob(tmp_path)
+    at = blob.index(b"embed.weights") + len(b"embed.weights") + 4  # skip the u32 rank
+    path.write_bytes(blob[:at] + struct.pack("<2Q", 0, 2**63) + blob[at + 16 :])
+    with pytest.raises(sm.CheckpointError, match="zero extent"):
+        sm.load(path)
+
+
+def test_checkpoint_mutations_give_a_model_or_checkpoint_error(tmp_path):
+    path, blob = _saved_blob(tmp_path)
+    mutants = [blob[:n] for n in range(len(blob))]
+    for i, byte in enumerate(blob):
+        for value in (0x00, 0xFF, byte ^ 1, ord("9"), ord(",")):
+            mutants.append(blob[:i] + bytes([value]) + blob[i + 1 :])
+    other = []
+    for mutant in mutants:
+        path.write_bytes(mutant)
+        try:
+            sm.load(path)
+        except sm.CheckpointError:
+            pass
+        except Exception as exc:  # noqa: BLE001 -- any other type is the failure under test
+            other.append(f"{type(exc).__name__}: {exc}")
+    assert not other, f"{len(other)} of {len(mutants)} mutants raised another error, e.g. {other[:3]}"
