@@ -25,11 +25,12 @@ x = np.zeros((1, 64, 64, 3), np.float32)
 with layers.count_multiplies() as counter:
     sm.forward(net, x, "infer")
 print("instrumented multiplies:", counter.total)
-print("closed-form count_macs :", analyzer.count_macs(cfg))
-assert counter.total == analyzer.count_macs(cfg)
+print("closed-form total_macs :", report.total_macs)
+assert counter.total == report.total_macs
 
 # Block cost is constant, so totals are affine in depth.
 for depth in (1, 2, 4, 8):
     d_cfg = sm.ModelConfig(input_h=64, input_w=64, input_c=3, depth=depth)
-    print(f"depth {depth}: params {analyzer.count_params(d_cfg):>7,}  "
-          f"macs {analyzer.count_macs(d_cfg):>11,}")
+    d_report = analyzer.cost_report(d_cfg)
+    print(f"depth {depth}: params {d_report.total_params:>7,}  "
+          f"macs {d_report.total_macs:>11,}")

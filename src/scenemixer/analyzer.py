@@ -69,16 +69,9 @@ def cost_report(config: ModelConfig, trainable_only: bool = False) -> CostReport
     )
 
 
-def count_params(config: ModelConfig, trainable_only: bool = False) -> int:
-    return cost_report(config, trainable_only=trainable_only).total_params
-
-
-def count_macs(config: ModelConfig) -> int:
-    return cost_report(config).total_macs
-
-
-def count_flops(config: ModelConfig) -> int:
-    return cost_report(config).total_flops
+def count_params(config: ModelConfig) -> int:
+    """Stored scalars (parameters plus BN running statistics); `model.load` checks against it."""
+    return cost_report(config).total_params
 
 
 def format_report(report: CostReport, config: ModelConfig | None = None) -> str:

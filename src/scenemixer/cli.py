@@ -21,9 +21,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _echo_settings(args, keys):
-    for key in keys:
-        print(f"resolved: {key}={getattr(args, key)}", file=sys.stderr)
+def _echo_settings(args):
+    for key, value in vars(args).items():
+        if key not in ("func", "command"):
+            print(f"resolved: {key}={value}", file=sys.stderr)
 
 
 def _apply_threads(threads):
@@ -176,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="config file, or eurosat-default / aid-default")
     p.add_argument("--csv", default=None, help="also write the table as CSV")
     p.add_argument("--trainable-only", action="store_true", help="exclude BN running statistics")
-    p.set_defaults(func=_cmd_analyze, echo=("config", "csv", "trainable_only"))
+    p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("synth", parents=[common], help="generate a synthetic PPM dataset tree")
     p.add_argument("--out", required=True)
@@ -184,13 +185,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-class", type=int, required=True, dest="per_class")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--side", type=int, default=64)
-    p.set_defaults(func=_cmd_synth, echo=("out", "classes", "per_class", "seed", "side"))
+    p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("split", parents=[common], help="write a stratified 70/15/15 split manifest")
     p.add_argument("--data", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_split, echo=("data", "seed", "out"))
+    p.set_defaults(func=_cmd_split)
 
     p = sub.add_parser("train", parents=[common], help="train and save the best checkpoint")
     p.add_argument("--data", required=True)
@@ -203,8 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history", default=None, help="write per-epoch CSV here")
     p.add_argument("--manifest", default=None, help="use split assignments from this CSV")
     p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=_cmd_train,
-                   echo=("data", "config", "epochs", "batch", "seed", "lr", "out", "history", "manifest"))
+    p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", parents=[common], help="score a checkpoint on one split")
     p.add_argument("--model", required=True)
@@ -214,13 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", default=None)
     p.add_argument("--confusion", default=None, help="write the confusion matrix CSV here")
     p.add_argument("--metrics", default=None, help="write the metrics CSV here")
-    p.set_defaults(func=_cmd_eval,
-                   echo=("model", "data", "split", "seed", "manifest", "confusion", "metrics"))
+    p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("predict", parents=[common], help="classify one PPM image")
     p.add_argument("--model", required=True)
     p.add_argument("--image", required=True)
-    p.set_defaults(func=_cmd_predict, echo=("model", "image"))
+    p.set_defaults(func=_cmd_predict)
     return parser
 
 
@@ -235,7 +234,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse --help
         return 0 if not exc.code else 1
     try:
-        _echo_settings(args, args.echo)
+        _echo_settings(args)
         return args.func(args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,9 @@ procedural texture generator for desk-scale experiments.
 On-disk datasets are trees of binary PPM images, one folder per class
 (`root/<class_name>/<image>.ppm`). Pixel values flow as float32: decode
 yields [0,255], `normalize` maps into [0,1]. Synthetic datasets live in
-memory and are already normalized.
+memory and are already normalized; each synthetic image draws its
+pattern's period, phase or placement and then its pixel noise (sigma
+`SYNTH_NOISE_SIGMA`, 10/255) from a stream seeded by (seed, class, index).
 """
 
 import os
@@ -203,7 +205,8 @@ def _materialize(sample: SampleRecord, out_h: int, out_w: int) -> Tensor:
         img = sample.image
     else:
         img = normalize(read_ppm(sample.path))
-    return resize_bilinear(img, out_h, out_w).astype(np.float32)
+    # already a float32 copy: images are float32 and resize keeps the dtype
+    return resize_bilinear(img, out_h, out_w)
 
 
 def split_arrays(manifest: DatasetManifest, split: str, out_h: int, out_w: int):
@@ -293,61 +296,60 @@ def _grid(side):
     return y, x
 
 
-def _stripes_horizontal(side, rng, jitter):
-    period = rng.uniform(6.0, 12.0) if jitter else 8.0
-    phase = rng.uniform(0.0, 2 * np.pi) if jitter else 0.0
+def _stripes_horizontal(side, rng):
+    period = rng.uniform(6.0, 12.0)
+    phase = rng.uniform(0.0, 2 * np.pi)
     y, _ = _grid(side)
     return 0.5 + 0.5 * np.sin(2 * np.pi * y / period + phase)
 
 
-def _checkerboard(side, rng, jitter):
-    cell = int(rng.integers(4, 9)) if jitter else 6
-    oy = int(rng.integers(0, cell)) if jitter else 0
-    ox = int(rng.integers(0, cell)) if jitter else 0
+def _checkerboard(side, rng):
+    cell = int(rng.integers(4, 9))
+    oy = int(rng.integers(0, cell))
+    ox = int(rng.integers(0, cell))
     y, x = _grid(side)
     return (((y + oy) // cell + (x + ox) // cell) % 2).astype(np.float64)
 
 
-def _radial_gradient(side, rng, jitter):
-    cy = side / 2 + (rng.uniform(-side / 8, side / 8) if jitter else 0.0)
-    cx = side / 2 + (rng.uniform(-side / 8, side / 8) if jitter else 0.0)
-    scale = rng.uniform(0.6, 1.0) if jitter else 0.8
+def _radial_gradient(side, rng):
+    cy = side / 2 + rng.uniform(-side / 8, side / 8)
+    cx = side / 2 + rng.uniform(-side / 8, side / 8)
+    scale = rng.uniform(0.6, 1.0)
     y, x = _grid(side)
     dist = np.sqrt((y - cy) ** 2 + (x - cx) ** 2)
     return np.clip(1.0 - dist / (scale * side * 0.75), 0.0, 1.0)
 
 
-def _random_blobs(side, rng, jitter):
-    # with jitter off the blob layout comes from a fixed stream, so the
-    # class template is exactly reproducible
-    layout = rng if jitter else np.random.Generator(np.random.PCG64(12345))
-    count = int(layout.integers(6, 11))
-    sigma = layout.uniform(3.0, 6.0)
+def _random_blobs(side, rng):
+    count = int(rng.integers(6, 11))
+    sigma = rng.uniform(3.0, 6.0)
     y, x = _grid(side)
     canvas = np.zeros((side, side), dtype=np.float64)
     for _ in range(count):
-        cy, cx = layout.uniform(0, side, size=2)
+        cy, cx = rng.uniform(0, side, size=2)
         canvas += np.exp(-((y - cy) ** 2 + (x - cx) ** 2) / (2 * sigma**2))
     top = canvas.max()
     return canvas / top if top > 0 else canvas
 
 
-def _stripes_diagonal(side, rng, jitter):
-    period = rng.uniform(6.0, 12.0) if jitter else 8.0
-    phase = rng.uniform(0.0, 2 * np.pi) if jitter else 0.0
+def _stripes_diagonal(side, rng):
+    period = rng.uniform(6.0, 12.0)
+    phase = rng.uniform(0.0, 2 * np.pi)
     y, x = _grid(side)
     return 0.5 + 0.5 * np.sin(2 * np.pi * (y + x) / (period * np.sqrt(2.0)) + phase)
 
 
-def _rings(side, rng, jitter):
-    period = rng.uniform(5.0, 10.0) if jitter else 7.0
-    phase = rng.uniform(0.0, 2 * np.pi) if jitter else 0.0
-    cy = side / 2 + (rng.uniform(-side / 10, side / 10) if jitter else 0.0)
-    cx = side / 2 + (rng.uniform(-side / 10, side / 10) if jitter else 0.0)
+def _rings(side, rng):
+    period = rng.uniform(5.0, 10.0)
+    phase = rng.uniform(0.0, 2 * np.pi)
+    cy = side / 2 + rng.uniform(-side / 10, side / 10)
+    cx = side / 2 + rng.uniform(-side / 10, side / 10)
     y, x = _grid(side)
     dist = np.sqrt((y - cy) ** 2 + (x - cx) ** 2)
     return 0.5 + 0.5 * np.sin(2 * np.pi * dist / period + phase)
 
+
+SYNTH_NOISE_SIGMA = 10.0 / 255.0
 
 SYNTH_PATTERNS = (
     ("00_stripes_horizontal", _stripes_horizontal),
@@ -359,8 +361,7 @@ SYNTH_PATTERNS = (
 )
 
 
-def synth_generate(classes: int, per_class: int, side: int = 64, seed: int = 0,
-                   noise_sigma: float = 10.0 / 255.0, jitter: bool = True) -> DatasetManifest:
+def synth_generate(classes: int, per_class: int, side: int = 64, seed: int = 0) -> DatasetManifest:
     """In-memory dataset of procedural textures, `classes` of them with
     `per_class` samples each, deterministic under `seed`."""
     if classes < 2:
@@ -375,10 +376,9 @@ def synth_generate(classes: int, per_class: int, side: int = 64, seed: int = 0,
         _, pattern = SYNTH_PATTERNS[cls]
         for i in range(per_class):
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, cls, i))))
-            base = pattern(side, rng, jitter)
+            base = pattern(side, rng)
             img = np.repeat(base[:, :, None], 3, axis=2)
-            if noise_sigma > 0:
-                img = img + rng.normal(0.0, noise_sigma, size=img.shape)
+            img = img + rng.normal(0.0, SYNTH_NOISE_SIGMA, size=img.shape)
             img = np.clip(img, 0.0, 1.0).astype(np.float32)
             manifest.samples.append(
                 SampleRecord(key=f"{names[cls]}/{i:04d}.ppm", class_index=cls, image=img)

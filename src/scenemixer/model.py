@@ -25,6 +25,7 @@ from .numerics import ShapeError, Tensor
 
 CHECKPOINT_MAGIC = b"SMXC"
 CHECKPOINT_VERSION = 1
+INFER_BATCH = 64  # images per infer-mode forward in `predict` and `train.evaluate`
 
 
 @dataclass
@@ -175,9 +176,6 @@ class SceneMixerModel:
             out[f"block{i}.bn.running_var"] = s.running_var
         return out
 
-    def num_scalars(self) -> int:
-        return sum(t.size for t in self.all_tensors().values())
-
     def snapshot(self) -> dict:
         return {name: t.copy() for name, t in self.all_tensors().items()}
 
@@ -311,12 +309,12 @@ def backward(model: SceneMixerModel, caches: ForwardCaches, dlogits: Tensor):
     return grads, dx
 
 
-def predict(model: SceneMixerModel, x: Tensor, batch_size: int = 64) -> np.ndarray:
+def predict(model: SceneMixerModel, x: Tensor) -> np.ndarray:
     """Infer-mode argmax labels; ties resolve to the lowest class index."""
     labels = np.empty(x.shape[0], dtype=np.int64)
-    for start in range(0, x.shape[0], batch_size):
-        probs, _ = forward(model, x[start : start + batch_size], "infer")
-        labels[start : start + batch_size] = np.argmax(probs, axis=1)
+    for start in range(0, x.shape[0], INFER_BATCH):
+        probs, _ = forward(model, x[start : start + INFER_BATCH], "infer")
+        labels[start : start + INFER_BATCH] = np.argmax(probs, axis=1)
     return labels
 
 
@@ -402,7 +400,7 @@ def load(path) -> SceneMixerModel:
             # no tensor of any config is empty, and numpy rejects (0, 2**63)
             raise CheckpointError(f"tensor {name}: zero extent in shape {shape}")
         size = math.prod(shape)  # Python ints: forged extents cannot wrap to a small count
-        tensors[name] = np.frombuffer(r.take(4 * size), dtype="<f4").reshape(shape).copy()
+        tensors[name] = np.frombuffer(r.take(4 * size), dtype="<f4").reshape(shape)
     if r.pos != len(blob):
         raise CheckpointError(f"trailing bytes in checkpoint: {len(blob) - r.pos}")
     # before build: a forged embed_dim must not allocate its embed_dim**2 weights

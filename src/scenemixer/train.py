@@ -2,10 +2,11 @@
 
 `fit` trains for a fixed number of epochs, monitors validation overall
 accuracy after each one, multiplies the learning rate by `LR_FACTOR` (0.5)
-after `lr_patience` epochs without strict improvement (never below `LR_MIN`,
-5e-5), and finally restores the weights of the best validation epoch
-(earliest on ties). Adam's constants are fixed too: `ADAM_BETA1` 0.9,
-`ADAM_BETA2` 0.999 and `ADAM_EPS` 1e-7.
+after `LR_PATIENCE` (10) epochs without strict improvement (never below
+`LR_MIN`, 5e-5), and finally restores the weights of the best validation
+epoch (earliest on ties). Adam's constants are fixed too: `ADAM_BETA1` 0.9,
+`ADAM_BETA2` 0.999 and `ADAM_EPS` 1e-7. Validation runs in batches of
+`model.INFER_BATCH`.
 """
 
 import math
@@ -17,7 +18,7 @@ from . import model as model_mod
 from .numerics import Tensor
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-7
-LR_FACTOR, LR_MIN = 0.5, 5e-5
+LR_FACTOR, LR_PATIENCE, LR_MIN = 0.5, 10, 5e-5
 
 
 @dataclass
@@ -25,14 +26,11 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 32
     lr_init: float = 1e-3
-    lr_patience: int = 10
     seed: int = 0
 
     def validate(self):
         if self.lr_init < LR_MIN:
             raise ValueError(f"lr_init {self.lr_init} is below the learning-rate floor LR_MIN {LR_MIN}")
-        if self.lr_patience < 1:
-            raise ValueError(f"lr_patience must be >= 1, got {self.lr_patience}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
@@ -94,12 +92,11 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
 
 
 class PlateauScheduler:
-    """Multiply lr by `LR_FACTOR` after `patience` epochs without strict
+    """Multiply lr by `LR_FACTOR` after `LR_PATIENCE` epochs without strict
     improvement of the monitored accuracy; clamp at `LR_MIN`."""
 
-    def __init__(self, lr_init: float, patience: int):
+    def __init__(self, lr_init: float):
         self.current_lr = lr_init
-        self.patience = patience
         self.best_metric = -math.inf
         self.epochs_since_improvement = 0
 
@@ -109,7 +106,7 @@ class PlateauScheduler:
             self.epochs_since_improvement = 0
         else:
             self.epochs_since_improvement += 1
-            if self.epochs_since_improvement >= self.patience:
+            if self.epochs_since_improvement >= LR_PATIENCE:
                 self.current_lr = max(self.current_lr * LR_FACTOR, LR_MIN)
                 self.epochs_since_improvement = 0
         return self.current_lr
@@ -166,13 +163,14 @@ def train_epoch(model, x: Tensor, y, adam_state: AdamState, lr: float, batch_siz
     return total_loss / n, correct / n
 
 
-def evaluate(model, x: Tensor, y, batch_size: int = 64):
+def evaluate(model, x: Tensor, y):
     """Infer-mode mean loss and overall accuracy."""
     n = x.shape[0]
     total_loss = 0.0
     correct = 0
-    for start in range(0, n, batch_size):
-        xb, yb = x[start : start + batch_size], y[start : start + batch_size]
+    step = model_mod.INFER_BATCH
+    for start in range(0, n, step):
+        xb, yb = x[start : start + step], y[start : start + step]
         probs, _ = model_mod.forward(model, xb, "infer")
         total_loss += cross_entropy(probs, yb) * len(yb)
         correct += int(np.sum(np.argmax(probs, axis=1) == yb))
@@ -192,7 +190,7 @@ def fit(model, train_set, val_set, cfg: TrainConfig, log=None):
     if len(x_train) == 0 or len(x_val) == 0:
         raise ValueError("fit: empty train or validation split")
     adam = AdamState(model.params)
-    sched = PlateauScheduler(cfg.lr_init, cfg.lr_patience)
+    sched = PlateauScheduler(cfg.lr_init)
     history = TrainHistory()
     best_snapshot = None
     best_val_oa = -math.inf

@@ -27,29 +27,30 @@ def test_param_breakdown_default():
 
 def test_trainable_only_subtracts_running_stats():
     full = analyzer.count_params(EUROSAT)
-    trainable = analyzer.count_params(EUROSAT, trainable_only=True)
+    trainable = analyzer.cost_report(EUROSAT, trainable_only=True).total_params
     assert full - trainable == 2 * 128 * 4  # two running vectors per block
 
 
 def test_mac_goldens():
-    assert analyzer.count_macs(EUROSAT) == 22_807_808
-    assert analyzer.count_macs(TINY) == 324
+    assert analyzer.cost_report(TINY).total_macs == 324
     report = analyzer.cost_report(EUROSAT)
+    assert report.total_macs == 22_807_808
     embed = next(e for e in report.entries if e.name == "patch_embed")
     assert embed.macs == 1_572_864
 
 
 def test_flop_goldens():
-    assert analyzer.count_flops(EUROSAT) == 46_041_610
-    assert analyzer.count_flops(EUROSAT) == 2 * 22_807_808 + 425_994
+    flops = analyzer.cost_report(EUROSAT).total_flops
+    assert flops == 46_041_610
+    assert flops == 2 * 22_807_808 + 425_994
     # tiny config: 2*324 multiplies-as-flops plus one bias add per conv/dense
     # output element (8 embed + 8 + 8 dw + 8 pw + 2 head = 34), frozen by the
     # instrumented oracle below
-    assert analyzer.count_flops(TINY) == 682
+    assert analyzer.cost_report(TINY).total_flops == 682
 
 
 def test_flop_proximity_to_reference():
-    got = analyzer.count_flops(EUROSAT)
+    got = analyzer.cost_report(EUROSAT).total_flops
     ref = analyzer.EUROSAT_REFERENCE["flops"]
     assert abs(got - ref) / ref < 0.02
 
@@ -79,7 +80,7 @@ def test_instrumented_forward_matches_count_macs(rng):
         x = rng.random((1, cfg.input_h, cfg.input_w, cfg.input_c), dtype=np.float32)
         with layers.count_multiplies() as counter:
             sm.forward(net, x, "infer")
-        assert counter.total == analyzer.count_macs(cfg), f"trial {trial}: {cfg}"
+        assert counter.total == analyzer.cost_report(cfg).total_macs, f"trial {trial}: {cfg}"
 
 
 def test_instrumented_forward_tiny_breakdown(rng):
@@ -108,25 +109,28 @@ def test_backward_records_no_multiplies(rng):
         probs, caches = sm.forward(net, x, "train")
         sm.backward(net, caches, probs)
     assert both.by_layer == forward_only.by_layer
-    assert both.total == forward_only.total == 5 * analyzer.count_macs(cfg)
+    assert both.total == forward_only.total == 5 * analyzer.cost_report(cfg).total_macs
 
 
 def test_count_params_matches_built_models(rng):
     for trial in range(6):
         cfg = _random_small_config(rng)
         net = sm.build(cfg, seed=trial)
-        assert analyzer.count_params(cfg) == net.num_scalars(), f"trial {trial}: {cfg}"
+        stored = sum(t.size for t in net.all_tensors().values())
+        assert analyzer.count_params(cfg) == stored, f"trial {trial}: {cfg}"
         trainable = sum(t.size for t in net.params.values())
-        assert analyzer.count_params(cfg, trainable_only=True) == trainable
+        assert analyzer.cost_report(cfg, trainable_only=True).total_params == trainable
 
 
 def test_counts_linear_in_depth():
     def with_depth(depth):
         return sm.ModelConfig(input_h=64, input_w=64, input_c=3, depth=depth)
 
-    for fn in (analyzer.count_params, analyzer.count_macs, analyzer.count_flops):
-        deltas = {fn(with_depth(d + 1)) - fn(with_depth(d)) for d in range(1, 5)}
-        assert len(deltas) == 1, fn.__name__
+    reports = [analyzer.cost_report(with_depth(d)) for d in range(1, 6)]
+    for total in ("total_params", "total_macs", "total_flops"):
+        counts = [getattr(r, total) for r in reports]
+        deltas = {b - a for a, b in zip(counts, counts[1:])}
+        assert len(deltas) == 1, total
 
 
 def test_report_totals_consistent():
@@ -152,7 +156,7 @@ def test_format_report_no_reference_for_other_configs():
 
 def test_invalid_config_rejected():
     with pytest.raises(ValueError):
-        analyzer.count_macs(sm.ModelConfig(input_h=63, input_w=64, input_c=3))
+        analyzer.cost_report(sm.ModelConfig(input_h=63, input_w=64, input_c=3))
 
 
 def test_report_csv_shape():

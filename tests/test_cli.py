@@ -184,6 +184,7 @@ def test_every_command_echoes_resolved_settings(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "resolved: classes=2" in err
     assert "resolved: seed=1" in err
+    assert "resolved: threads=None" in err
 
 
 def test_threads_do_not_change_output_bytes(tmp_path, tiny_dataset, tiny_config):

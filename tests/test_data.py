@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -248,12 +250,14 @@ def test_synth_seed_changes_pixels():
     assert not np.array_equal(a.samples[0].image, b.samples[0].image)
 
 
-def test_synth_templates_reproducible_without_jitter():
-    a = dm.synth_generate(6, 3, side=16, seed=7, noise_sigma=0.0, jitter=False)
-    for cls in range(6):
-        group = [s.image for s in a.samples if s.class_index == cls]
-        for img in group[1:]:
-            assert np.array_equal(img, group[0])
+def test_synth_default_stream_bytes_pinned():
+    # SHA-256 of the images as generated before the unjittered path was
+    # removed; the benchmark set-up and criterion 07 depend on these bytes
+    manifest = dm.synth_generate(6, 2, side=16, seed=3)
+    digest = hashlib.sha256()
+    for s in manifest.samples:
+        digest.update(s.image.tobytes())
+    assert digest.hexdigest() == "0a4ee3a462c06f8d7231b7d5ed1de06478759c6ba233b4dd3731d117e09c9248"
 
 
 def test_synth_rejects_too_many_classes():

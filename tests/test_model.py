@@ -29,7 +29,7 @@ def test_build_seed_changes_weights():
 
 def test_build_scalar_count_default():
     net = sm.build(sm.ModelConfig.eurosat_default(), seed=0)
-    assert net.num_scalars() == 94_090
+    assert sum(t.size for t in net.all_tensors().values()) == 94_090
 
 
 def test_config_rejects_nondivisible_input():
