@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 
 _SUBMODULES = (
     "numerics",
+    "fileio",
     "layers",
     "model",
     "train",

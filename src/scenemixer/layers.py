@@ -10,9 +10,16 @@ Inputs are (n, y, x, c) arrays. Convolution weights are stored as
 and (c_in, c_out) for the pointwise/dense layers. Batch norm's momentum and
 epsilon have no defaults here: `ModelConfig.bn_momentum` (0.99) and
 `ModelConfig.bn_eps` (1e-3) set them.
+
+GELU uses the exact normal CDF. For float32 inputs it is evaluated with the
+Numerical Recipes erfc fit (absolute error below 3e-7, against 3e-8 for
+scipy's float32 `ndtr`); float64 inputs, which the gradient checks use, keep
+scipy's `ndtr`. GELU and batch norm build their outputs with in-place ufuncs,
+so each call allocates only the arrays it returns or caches.
 """
 
 import contextlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +28,7 @@ from scipy.special import ndtr
 from .numerics import ShapeError, Tensor
 
 _INV_SQRT_2PI = 0.3989422804014327
+_INV_SQRT_2 = 0.7071067811865476
 
 
 @dataclass
@@ -255,20 +263,74 @@ def pointwise_conv_backward(cache: LayerCache, upstream: Tensor):
 
 
 # ---------------------------------------------------------------------------
-# GELU with the exact normal CDF (not the tanh approximation)
+# GELU with the exact normal CDF (not the tanh approximation); float32 inputs
+# evaluate it with the Numerical Recipes erfc fit (absolute CDF error below
+# 3e-7), float64 inputs with scipy's `ndtr`
+
+# Elements per slab of `_normal_cdf`: a slab and its two scratch buffers
+# (3 x 128 KiB) stay in L2 across all ~30 passes of the fit.
+_SLAB = 1 << 15
+# erfc(z) ~= t exp(-z^2 + c0 + t (c1 + t (c2 + ... + t c9))), t = 1 / (1 + z/2),
+# fractional error < 1.2e-7 for z >= 0 (Numerical Recipes, 2nd ed., section 6.2).
+# c0 absorbs ln 2, so the fit returns erfc(z) / 2 = Q(z sqrt 2), the upper normal tail.
+_ERFC_FIT = (
+    -1.26551223 - math.log(2.0), 1.00002368, 0.37409196, 0.09678418, -0.18628806,
+    0.27886807, -1.13520398, 1.48851587, -0.82215223, 0.17087277,
+)
+
+
+def _normal_cdf(x: Tensor) -> Tensor:
+    """Standard normal CDF of a float32 array, slab by slab with in-place ufuncs."""
+    out = np.empty(x.shape, dtype=np.float32)
+    src, dst = x.reshape(-1), out.reshape(-1)
+    t_buf = np.empty(min(src.size, _SLAB), dtype=np.float32)
+    z_buf = np.empty_like(t_buf)
+    with np.errstate(over="ignore"):  # x*x overflows to inf near float32 max; the tail is then 0
+        for start in range(0, src.size, _SLAB):
+            xs, q = src[start : start + _SLAB], dst[start : start + _SLAB]
+            t, z = t_buf[: len(xs)], z_buf[: len(xs)]
+            # t = 1 / (1 + z/2) for z = |x| / sqrt(2)
+            np.abs(xs, out=z)
+            np.multiply(z, 0.5 * _INV_SQRT_2, out=t)
+            t += 1.0
+            np.reciprocal(t, out=t)
+            np.multiply(t, _ERFC_FIT[9], out=q)
+            for c in _ERFC_FIT[8:0:-1]:
+                q += c
+                q *= t
+            np.multiply(xs, xs, out=z)
+            z *= 0.5  # z^2 = x^2 / 2
+            z -= _ERFC_FIT[0]
+            q -= z  # the exponent -z^2 + c0 + t (...)
+            np.exp(q, out=q)
+            q *= t  # Q(|x|)
+            # CDF = 1 - Q for x >= +0 and Q for x <= -0, exact in the lower tail
+            np.copysign(q, xs, out=q)
+            np.copysign(0.5, xs, out=z)
+            z += 0.5
+            np.subtract(z, q, out=q)
+    return out
+
 
 def gelu_forward(x: Tensor):
-    cdf = ndtr(x)
+    # float64 keeps ndtr: with the fit, the float64 full-model gradient check misses TOL (7.6e-4 > 1e-4)
+    cdf = _normal_cdf(x) if x.dtype == np.float32 else ndtr(x)
     out = (x * cdf).astype(x.dtype, copy=False)
     return out, LayerCache("gelu", out.shape, {"x": x, "cdf": cdf})
-
 
 
 def gelu_backward(cache: LayerCache, upstream: Tensor) -> Tensor:
     saved = _consume(cache, "gelu", upstream)
     x, cdf = saved["x"], saved["cdf"]
-    pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    return (upstream * (cdf + x * pdf)).astype(x.dtype, copy=False)
+    # upstream * (cdf + x * pdf), built in one buffer
+    d = np.multiply(x, x)
+    d *= -0.5
+    np.exp(d, out=d)
+    d *= _INV_SQRT_2PI  # pdf
+    d *= x
+    d += cdf
+    d *= upstream
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -280,37 +342,48 @@ def batch_norm_forward(x: Tensor, s: BatchNormState, mode: str):
     n, h, w, c = x.shape
     if s.gamma.shape != (c,):
         raise ShapeError(f"batch norm state has {s.gamma.shape[0]} channels, input has {c}")
+    flat = x.reshape(-1, c)
     if mode == "train":
         m = n * h * w
         if m < 2:
             raise ValueError(f"batch_norm train mode needs >= 2 elements per channel, got {m}")
-        mean = x.mean(axis=(0, 1, 2))
-        var = x.var(axis=(0, 1, 2))  # biased estimator
+        mean = flat.mean(axis=0)
+        xhat = flat - mean
+        out = np.multiply(xhat, xhat)  # squared deviations, until it holds the output
+        var = out.sum(axis=0) / m  # biased estimator, as np.var computes it
         inv = 1.0 / np.sqrt(var + s.epsilon)
-        xhat = (x - mean) * inv
         s.running_mean[:] = s.momentum * s.running_mean + (1.0 - s.momentum) * mean
         s.running_var[:] = s.momentum * s.running_var + (1.0 - s.momentum) * var
     else:
         inv = 1.0 / np.sqrt(s.running_var + s.epsilon)
-        xhat = (x - s.running_mean) * inv
-    out = (s.gamma * xhat + s.beta).astype(x.dtype, copy=False)
-    cache = LayerCache("batch_norm", out.shape, {"xhat": xhat, "inv": inv, "gamma": s.gamma, "mode": mode})
-    return out, cache
-
+        xhat = flat - s.running_mean
+        out = np.empty_like(xhat)
+    xhat *= inv
+    np.multiply(xhat, s.gamma, out=out)
+    out += s.beta
+    out = out.reshape(x.shape).astype(x.dtype, copy=False)
+    saved = {"xhat": xhat.reshape(x.shape), "inv": inv, "gamma": s.gamma, "mode": mode}
+    return out, LayerCache("batch_norm", out.shape, saved)
 
 
 def batch_norm_backward(cache: LayerCache, upstream: Tensor):
     saved = _consume(cache, "batch_norm", upstream)
     xhat, inv, gamma = saved["xhat"], saved["inv"], saved["gamma"]
-    dgamma = np.einsum("nyxc,nyxc->c", upstream, xhat)
-    dbeta = upstream.sum(axis=(0, 1, 2))
+    c = gamma.shape[0]
+    u, xh = upstream.reshape(-1, c), xhat.reshape(-1, c)
+    dgamma = np.einsum("ij,ij->j", u, xh)
+    dbeta = u.sum(axis=0)
     if saved["mode"] == "train":
-        m = upstream.shape[0] * upstream.shape[1] * upstream.shape[2]
-        # full backward through the batch statistics
-        dx = (gamma * inv / m) * (m * upstream - dbeta - xhat * dgamma)
+        m = u.shape[0]
+        # full backward through the batch statistics:
+        # dx = gamma * inv * (upstream - (dbeta + xhat * dgamma) / m)
+        dx = np.multiply(xh, dgamma / m)
+        dx += dbeta / m
+        np.subtract(u, dx, out=dx)
+        dx *= gamma * inv
     else:
-        dx = upstream * (gamma * inv)
-    return dx.astype(upstream.dtype, copy=False), dgamma, dbeta
+        dx = u * (gamma * inv)
+    return dx.reshape(upstream.shape).astype(upstream.dtype, copy=False), dgamma, dbeta
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ u32 version, u32-length-prefixed UTF-8 config block of key=value lines,
 u32 tensor count, then per tensor a u32-length-prefixed UTF-8 name, u32
 rank, u64 extents and raw float32 data. `load` raises `CheckpointError`
 for any file that is not such a container for the config it embeds.
+`save` writes a temp file beside the target and renames it over the
+target, so a failed save leaves the earlier file intact.
 """
 
 import math
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import layers
+from .fileio import write_atomic
 from .layers import BatchNormState, ConvParams
 from .numerics import ShapeError, Tensor
 
@@ -266,15 +269,20 @@ def forward(model: SceneMixerModel, x: Tensor, mode: str):
         merged = None
         for dwp in dws:
             branch, c = layers.depthwise_conv_forward(t, dwp)
-            merged = branch if merged is None else merged + branch
+            # no cache holds a branch output, so the first one accumulates the rest in place
+            if merged is None:
+                merged = branch
+            else:
+                merged += branch
             dw_caches.append(c)
         h, pw_cache = layers.pointwise_conv_forward(merged, pw)
         g, gelu_cache = layers.gelu_forward(h)
         b, bn_cache = layers.batch_norm_forward(g, model.bn_states[i], mode)
-        out = b + t if cfg.residual else b
+        if cfg.residual:
+            b += t  # t stays intact: the depthwise caches hold it
         if want_caches:
             block_caches.append({"dw": dw_caches, "pw": pw_cache, "gelu": gelu_cache, "bn": bn_cache})
-        t = out
+        t = b
 
     pooled, gap_cache = layers.global_avg_pool_forward(t)
     logits, dense_cache = layers.dense_forward(pooled, model.head_params())
@@ -298,12 +306,16 @@ def backward(model: SceneMixerModel, caches: ForwardCaches, dlogits: Tensor):
         dmerged, grads[f"block{i}.pw.weights"], grads[f"block{i}.pw.bias"] = layers.pointwise_conv_backward(
             c["pw"], dh
         )
+        # dt is no longer needed by BN, and every dx is a fresh array: accumulate in place
         dinput = dt if cfg.residual else None
         for k, cache in zip(cfg.kernels, c["dw"]):
             dx, grads[f"block{i}.dw{k}.weights"], grads[f"block{i}.dw{k}.bias"] = layers.depthwise_conv_backward(
                 cache, dmerged
             )
-            dinput = dx if dinput is None else dinput + dx
+            if dinput is None:
+                dinput = dx
+            else:
+                dinput += dx
         dt = dinput
     dx, grads["embed.weights"], grads["embed.bias"] = layers.patch_embed_backward(caches.embed, dt)
     return grads, dx
@@ -326,24 +338,25 @@ class CheckpointError(ValueError):
 
 
 def save(model: SceneMixerModel, path):
+    """Write the checkpoint atomically: a failed save leaves any earlier file at `path` intact."""
+    write_atomic(path, _checkpoint_chunks(model))
+
+
+def _checkpoint_chunks(model: SceneMixerModel):
+    """The `.smxc` bytes of model, one field at a time."""
     extras = {}
     if model.class_names:
         extras["class_names"] = ",".join(model.class_names)
     config_blob = config_to_text(model.config, extras).encode("utf-8")
     tensors = model.all_tensors()
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
-    chunks.append(struct.pack("<I", len(config_blob)))
-    chunks.append(config_blob)
-    chunks.append(struct.pack("<I", len(tensors)))
+    yield CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION)
+    yield struct.pack("<I", len(config_blob)) + config_blob
+    yield struct.pack("<I", len(tensors))
     for name, t in tensors.items():
         name_b = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(name_b)))
-        chunks.append(name_b)
-        chunks.append(struct.pack("<I", t.ndim))
-        chunks.append(struct.pack(f"<{t.ndim}Q", *t.shape))
-        chunks.append(np.ascontiguousarray(t, dtype="<f4").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+        yield struct.pack("<I", len(name_b)) + name_b
+        yield struct.pack("<I", t.ndim) + struct.pack(f"<{t.ndim}Q", *t.shape)
+        yield np.ascontiguousarray(t, dtype="<f4").tobytes()
 
 
 class _Reader:

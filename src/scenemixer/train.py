@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model as model_mod
+from .fileio import write_atomic
 from .numerics import Tensor
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-7
@@ -137,8 +138,7 @@ class TrainHistory:
         return "\n".join(lines) + "\n"
 
     def save_csv(self, path):
-        with open(path, "w", newline="\n") as fh:
-            fh.write(self.to_csv())
+        write_atomic(path, [self.to_csv().encode("utf-8")])
 
 
 def train_epoch(model, x: Tensor, y, adam_state: AdamState, lr: float, batch_size: int, shuffle_seed):
@@ -151,13 +151,16 @@ def train_epoch(model, x: Tensor, y, adam_state: AdamState, lr: float, batch_siz
     order = rng.permutation(n)
     total_loss = 0.0
     correct = 0
-    for start in range(0, n, batch_size):
+    for batch, start in enumerate(range(0, n, batch_size), 1):
         idx = order[start : start + batch_size]
         xb, yb = x[idx], y[idx]
-        probs, caches = model_mod.forward(model, xb, "train")
-        loss, dlogits = cross_entropy_with_logit_grad(probs, yb)
-        grads, _ = model_mod.backward(model, caches, dlogits)
-        adam_step(model.params, grads, adam_state, lr)
+        try:
+            probs, caches = model_mod.forward(model, xb, "train")
+            loss, dlogits = cross_entropy_with_logit_grad(probs, yb)
+            grads, _ = model_mod.backward(model, caches, dlogits)
+            adam_step(model.params, grads, adam_state, lr)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"batch {batch}: {exc}") from exc
         total_loss += loss * len(idx)
         correct += int(np.sum(np.argmax(probs, axis=1) == yb))
     return total_loss / n, correct / n
@@ -196,9 +199,13 @@ def fit(model, train_set, val_set, cfg: TrainConfig, log=None):
     best_val_oa = -math.inf
     for epoch in range(1, cfg.epochs + 1):
         lr = sched.current_lr
-        train_loss, train_oa = train_epoch(
-            model, x_train, y_train, adam, lr, cfg.batch_size, shuffle_seed=(cfg.seed, epoch)
-        )
+        try:
+            train_loss, train_oa = train_epoch(
+                model, x_train, y_train, adam, lr, cfg.batch_size, shuffle_seed=(cfg.seed, epoch)
+            )
+        except FloatingPointError as exc:
+            # chained to the original error, not to train_epoch's batch-level wrapper
+            raise FloatingPointError(f"epoch {epoch}, {exc}") from exc.__cause__
         val_loss, val_oa = evaluate(model, x_val, y_val)
         history.records.append(EpochRecord(epoch, train_loss, train_oa, val_loss, val_oa, lr))
         if val_oa > best_val_oa:

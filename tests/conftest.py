@@ -1,5 +1,7 @@
 import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +15,19 @@ def src_env(**overrides):
     env = dict(os.environ, **overrides)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return env
+
+
+def run_with_file_size_limit(code, limit):
+    """Run `code` in a fresh interpreter whose writes fail with EFBIG past
+    `limit` bytes of any file (RLIMIT_FSIZE, SIGXFSZ ignored)."""
+    pytest.importorskip("resource")  # POSIX only
+    prelude = (
+        "import resource, signal\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))\n"
+    )
+    return subprocess.run([sys.executable, "-c", prelude + code], capture_output=True, text=True,
+                          env=src_env(), timeout=120)
 
 
 def max_rel_err(a, b, floor=1e-6):

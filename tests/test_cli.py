@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 
@@ -234,4 +235,25 @@ def test_duplicate_manifest_path_is_runtime_error(tmp_path, tiny_dataset, tiny_c
             "--manifest", str(manifest), "--out", str(tmp_path / "m.smxc"), "--quiet"]
     assert run_inproc(args) == 2
     assert f"duplicate path '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "m.smxc").exists()
+
+
+def test_nan_pixel_abort_names_epoch_and_batch(tmp_path, tiny_dataset, tiny_config, monkeypatch, capsys):
+    poisoned = []
+    real_read = dm.read_ppm
+
+    def read_ppm(path):
+        img = real_read(path)
+        if not poisoned:  # the first image read: training images are read first
+            poisoned.append(path)
+            img[3, 4, 1] = np.nan
+        return img
+
+    monkeypatch.setattr(dm, "read_ppm", read_ppm)
+    args = ["train", "--data", str(tiny_dataset), "--config", str(tiny_config), "--epochs", "2",
+            "--batch", "4", "--out", str(tmp_path / "m.smxc"), "--quiet"]
+    assert run_inproc(args) == 2
+    err = capsys.readouterr().err
+    assert poisoned
+    assert re.search(r"^error: epoch 1, batch [1-9]: non-finite", err, re.MULTILINE), err
     assert not (tmp_path / "m.smxc").exists()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from scenemixer import layers
 from scenemixer.layers import BatchNormState, ConvParams
@@ -204,6 +205,60 @@ def test_gelu_one_matches_series():
 
 def test_gelu_negative_tail():
     assert abs(layers.gelu_forward(np.array([-10.0]))[0][0]) < 1e-9
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+F32_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, F32_MAX, -F32_MAX], dtype=np.float32)
+CDF_TOL = 3e-7  # absolute: the erfc fit's 1.2e-7 plus float32 rounding
+
+
+def test_float32_normal_cdf_matches_float64_ndtr():
+    x = np.concatenate([np.linspace(-40, 40, 1_600_001, dtype=np.float32), F32_SPECIALS])
+    got = layers._normal_cdf(x)
+    want = ndtr(x.astype(np.float64))
+    assert got.dtype == np.float32 and got.shape == x.shape
+    assert np.array_equal(np.isnan(got), np.isnan(x))
+    finite = ~np.isnan(x)
+    assert np.max(np.abs(got[finite] - want[finite])) < CDF_TOL
+    # the symmetry is exact at the special points, not merely within the bound
+    assert list(got[: -len(F32_SPECIALS)][[0, -1]]) == [0.0, 1.0]
+    assert list(got[-len(F32_SPECIALS) :][[0, 1, 2, 3, 5, 6]]) == [0.5, 0.5, 1.0, 0.0, 1.0, 0.0]
+
+
+def test_float32_gelu_non_finite_like_ndtr():
+    with np.errstate(invalid="ignore"):
+        got = layers.gelu_forward(F32_SPECIALS)[0]
+        want = F32_SPECIALS * ndtr(F32_SPECIALS)
+    assert got.dtype == np.float32
+    assert got[2] == np.inf and np.isnan(got[3]) and np.isnan(got[4])  # +inf, -inf, NaN
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("size", [1, layers._SLAB - 1, layers._SLAB, layers._SLAB + 1])
+def test_float32_normal_cdf_slab_edges(size):
+    x = np.linspace(-9, 9, layers._SLAB + 1, dtype=np.float32)[:size]
+    got = layers._normal_cdf(x)
+    assert got.shape == (size,)
+    assert np.max(np.abs(got - ndtr(x.astype(np.float64)))) < CDF_TOL
+    # elementwise: where a value sits relative to the slab bounds does not change it
+    picks = np.unique(np.r_[np.arange(0, size, 997), size - 1])
+    assert got[picks].tobytes() == np.concatenate([layers._normal_cdf(x[i : i + 1]) for i in picks]).tobytes()
+
+
+def test_float32_gelu_batch_equals_per_image_bytes(rng):
+    # 9 images of 6,400 values: the first slab bound falls inside the sixth image
+    x = (3 * rng.standard_normal((9, 10, 10, 64))).astype(np.float32)
+    assert x.size > layers._SLAB and layers._SLAB % x[0].size
+    whole = layers.gelu_forward(x)[0]
+    single = np.concatenate([layers.gelu_forward(x[i : i + 1])[0] for i in range(len(x))])
+    assert whole.dtype == np.float32 and whole.tobytes() == single.tobytes()
+
+
+def test_float64_gelu_keeps_ndtr(rng):
+    x = rng.standard_normal((2, 3, 3, 4))
+    out, cache = layers.gelu_forward(x)
+    assert cache.saved["cdf"].tobytes() == ndtr(x).tobytes()
+    assert out.tobytes() == (x * ndtr(x)).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from scenemixer import model as sm
 from scenemixer import train as tr
 from scenemixer.numerics import ShapeError, finite_diff_grad
 
-from conftest import max_rel_err
+from conftest import max_rel_err, run_with_file_size_limit
 
 TINY = sm.ModelConfig(input_h=4, input_w=4, input_c=1, patch=2, embed_dim=2,
                       depth=1, kernels=(3, 5), num_classes=2)
@@ -440,3 +440,37 @@ def test_checkpoint_mutations_give_a_model_or_checkpoint_error(tmp_path):
         except Exception as exc:  # noqa: BLE001 -- any other type is the failure under test
             other.append(f"{type(exc).__name__}: {exc}")
     assert not other, f"{len(other)} of {len(mutants)} mutants raised another error, e.g. {other[:3]}"
+
+
+# ---------------------------------------------------------------------------
+# atomic checkpoint output
+
+def test_save_failing_mid_write_keeps_previous_checkpoint(tmp_path):
+    path = tmp_path / "m.smxc"
+    sm.save(sm.build(TINY, seed=4), path)
+    before = path.read_bytes()
+    # a file-size limit makes the write fail with EFBIG once half the bytes are out
+    proc = run_with_file_size_limit(
+        "from scenemixer import model as sm\n"
+        f"sm.save(sm.build(sm.ModelConfig(**{TINY.__dict__!r}), seed=5), {str(path)!r})\n",
+        len(before) // 2,
+    )
+    assert proc.returncode == 1 and "OSError" in proc.stderr, proc.stderr
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.smxc"]
+
+
+def test_save_gives_the_mode_of_a_plain_open(tmp_path):
+    net = sm.build(TINY, seed=4)
+    plain = tmp_path / "plain"
+    with open(plain, "wb"):
+        pass
+    sm.save(net, tmp_path / "new.smxc")
+    assert (tmp_path / "new.smxc").stat().st_mode == plain.stat().st_mode
+    # an existing file keeps its mode, as it would when opened for writing
+    kept = tmp_path / "kept.smxc"
+    kept.write_bytes(b"")
+    kept.chmod(0o640)
+    sm.save(net, kept)
+    assert kept.stat().st_mode & 0o777 == 0o640
+    assert sm.load(kept).config == TINY

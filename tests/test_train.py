@@ -7,7 +7,7 @@ from scenemixer import model as sm
 from scenemixer import train as tr
 from scenemixer.numerics import finite_diff_grad
 
-from conftest import max_rel_err
+from conftest import max_rel_err, run_with_file_size_limit
 
 TINY = sm.ModelConfig(input_h=4, input_w=4, input_c=1, patch=2, embed_dim=2,
                       depth=1, kernels=(3, 5), num_classes=2)
@@ -248,3 +248,55 @@ def test_history_csv_format(rng):
 def test_train_config_validation():
     with pytest.raises(ValueError):
         tr.TrainConfig(lr_init=tr.LR_MIN / 2).validate()
+
+
+# ---------------------------------------------------------------------------
+# non-finite abort context
+
+def test_nan_pixel_abort_names_epoch_and_batch(rng):
+    x, y = _toy_dataset(rng, 6)  # 12 samples: 3 batches of 4
+    x[7, 1, 2, 0] = np.nan
+    cfg = tr.TrainConfig(epochs=2, batch_size=4, seed=3)
+    # train_epoch's documented shuffle for epoch 1
+    order = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, 1)))).permutation(len(y))
+    batch = int(np.flatnonzero(order == 7)[0]) // cfg.batch_size + 1
+    with pytest.raises(FloatingPointError, match=rf"^epoch 1, batch {batch}: non-finite") as info:
+        tr.fit(sm.build(TINY, seed=0), (x, y), (x, y), cfg)
+    original = info.value.__cause__
+    assert type(original) is FloatingPointError and "batch" not in str(original)
+
+
+def test_abort_context_keeps_the_parameter_and_chains_the_original(rng, monkeypatch):
+    x, y = _toy_dataset(rng, 6)  # 3 batches of 4 per epoch
+    real_step, calls, raised = tr.adam_step, [], []
+
+    def step(params, grads, state, lr):
+        calls.append(1)
+        if len(calls) == 5:  # epoch 2, batch 2
+            raised.append(FloatingPointError("non-finite gradient for head.bias; aborting training"))
+            raise raised[0]
+        real_step(params, grads, state, lr)
+
+    monkeypatch.setattr(tr, "adam_step", step)
+    with pytest.raises(FloatingPointError) as info:
+        tr.fit(sm.build(TINY, seed=0), (x, y), (x, y), tr.TrainConfig(epochs=3, batch_size=4, seed=0))
+    assert str(info.value) == "epoch 2, batch 2: non-finite gradient for head.bias; aborting training"
+    assert info.value.__cause__ is raised[0]
+
+
+# ---------------------------------------------------------------------------
+# atomic history output
+
+def test_history_save_failing_mid_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "history.csv"
+    old = b"epoch,train_loss,train_oa,val_loss,val_oa,lr\n" + b"1,0.5,0.5,0.5,0.5,0.001\n" * 20
+    path.write_bytes(old)
+    proc = run_with_file_size_limit(
+        "from scenemixer import train as tr\n"
+        "h = tr.TrainHistory([tr.EpochRecord(e, 0.25, 0.75, 0.5, 0.5, 1e-3) for e in range(1, 200)])\n"
+        f"h.save_csv({str(path)!r})\n",
+        len(old),
+    )
+    assert proc.returncode == 1 and "OSError" in proc.stderr, proc.stderr
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["history.csv"]
