@@ -11,6 +11,8 @@ import argparse
 import os
 import sys
 
+from .fileio import write_atomic
+
 
 class _UsageError(Exception):
     pass
@@ -71,8 +73,7 @@ def _cmd_analyze(args):
     report = analyzer.cost_report(config, trainable_only=args.trainable_only)
     sys.stdout.write(analyzer.format_report(report, config))
     if args.csv:
-        with open(args.csv, "w", newline="\n") as fh:
-            fh.write(analyzer.report_to_csv(report))
+        write_atomic(args.csv, [analyzer.report_to_csv(report).encode("utf-8")])
     return 0
 
 
@@ -90,8 +91,7 @@ def _cmd_split(args):
 
     manifest = data_mod.load_dataset(args.data)
     data_mod.stratified_split(manifest, data_mod.SplitSpec(seed=args.seed))
-    with open(args.out, "w", newline="\n") as fh:
-        fh.write(data_mod.manifest_to_csv(manifest))
+    write_atomic(args.out, [data_mod.manifest_to_csv(manifest).encode("utf-8")])
     counts = {s: sum(manifest.per_class_counts(s)) for s in ("train", "val", "test")}
     print(f"split {len(manifest.samples)} samples: {counts['train']} train, "
           f"{counts['val']} val, {counts['test']} test -> {args.out}")
@@ -146,11 +146,9 @@ def _cmd_eval(args):
     print(f"AA_eq2: {summary['AA_eq2'] * 100:.2f}%")
     print(f"kappa x100: {summary['kappa_x100']:.2f}")
     if args.confusion:
-        with open(args.confusion, "w", newline="\n") as fh:
-            fh.write(metrics_mod.confusion_to_csv(cm))
+        write_atomic(args.confusion, [metrics_mod.confusion_to_csv(cm).encode("utf-8")])
     if args.metrics:
-        with open(args.metrics, "w", newline="\n") as fh:
-            fh.write(metrics_mod.metrics_to_csv(cm))
+        write_atomic(args.metrics, [metrics_mod.metrics_to_csv(cm).encode("utf-8")])
     return 0
 
 

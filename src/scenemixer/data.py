@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fileio import write_atomic
 from .numerics import Tensor
 
 
@@ -129,8 +130,7 @@ def read_ppm(path) -> Tensor:
 
 
 def write_ppm(path, img: Tensor):
-    with open(path, "wb") as fh:
-        fh.write(encode_ppm(img))
+    write_atomic(path, [encode_ppm(img)])
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +160,7 @@ def resize_bilinear(img: Tensor, out_h: int, out_w: int) -> Tensor:
 
 def normalize(img: Tensor) -> Tensor:
     """Map [0,255] pixel values into [0,1]."""
-    return (img / np.float32(255.0)).astype(np.float32)
+    return (img / np.float32(255.0)).astype(np.float32, copy=False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,15 @@
-"""Atomic artifact output: write a temp file beside the target, then rename it over the target."""
+"""Artifact output: every file the program writes goes through `write_atomic`.
+
+Callers pass bytes, so text artifacts (the checkpoint's config block, the
+history, manifest, cost, confusion and metrics CSVs) are encoded as UTF-8,
+the encoding their readers use. A regular file, or a path that does not
+exist yet, is written to a temp file beside it and renamed over it, so a
+kill mid-write leaves the old file or the whole new one; the directory
+must therefore be writable. A symlink is followed: the file it names is
+replaced and the link stays. A target that cannot be replaced (a FIFO, a
+terminal, `/dev/stdout` or a directory) is opened and written directly,
+as `open(path, "wb")` would.
+"""
 
 import os
 import stat
@@ -7,24 +18,37 @@ import stat
 def write_atomic(path, chunks):
     """Write the byte strings of `chunks` to `path`; readers see the old file or the whole new one.
 
-    The temp file lives in the target's directory, because `os.replace` is
-    atomic only within one file system. It gets the mode a plain
-    `open(path, "wb")` would leave: the target's mode if it exists, else
-    0o666 less the umask. On any error, including one raised while `chunks`
-    is being produced, the temp file is removed and the target is untouched.
+    The temp file lives in the directory of the file `path` resolves to,
+    because `os.replace` is atomic only within one file system. It gets the
+    mode a plain `open(path, "wb")` would leave: the target's mode if it
+    exists, else 0o666 less the umask. On any error, including one raised
+    while `chunks` is being produced, the temp file is removed and the
+    target is untouched.
     """
     path = os.fspath(path)
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
+        return
+    if os.path.islink(path):
+        # replace the file the link names, so that the link stays
+        path = os.path.realpath(path)
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        exc.filename = path  # name the file the caller asked for, not the temp file
+        raise
     try:
         with open(fd, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        try:
-            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
-        except FileNotFoundError:
-            pass
+            fh.writelines(chunks)
+        if mode is not None:
+            os.chmod(tmp, stat.S_IMODE(mode))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

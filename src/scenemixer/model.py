@@ -69,8 +69,8 @@ class ModelConfig:
             problems.append(f"kernels must be distinct, got {self.kernels}")
         if self.num_classes < 2:
             problems.append(f"num_classes must be >= 2, got {self.num_classes}")
-        if not self.bn_eps > 0:
-            problems.append(f"bn_eps must be > 0, got {self.bn_eps}")
+        if not 0 < self.bn_eps < math.inf:
+            problems.append(f"bn_eps must be finite and > 0, got {self.bn_eps}")
         if not 0 < self.bn_momentum < 1:
             problems.append(f"bn_momentum must be in (0,1), got {self.bn_momentum}")
         if problems:

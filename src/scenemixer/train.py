@@ -206,7 +206,10 @@ def fit(model, train_set, val_set, cfg: TrainConfig, log=None):
         except FloatingPointError as exc:
             # chained to the original error, not to train_epoch's batch-level wrapper
             raise FloatingPointError(f"epoch {epoch}, {exc}") from exc.__cause__
-        val_loss, val_oa = evaluate(model, x_val, y_val)
+        try:
+            val_loss, val_oa = evaluate(model, x_val, y_val)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"epoch {epoch}, validation: {exc}") from exc
         history.records.append(EpochRecord(epoch, train_loss, train_oa, val_loss, val_oa, lr))
         if val_oa > best_val_oa:
             best_val_oa = val_oa

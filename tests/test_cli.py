@@ -1,3 +1,4 @@
+import pathlib
 import re
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from scenemixer import cli
 from scenemixer import data as dm
 from scenemixer import model as sm
 
-from conftest import src_env
+from conftest import run_with_file_size_limit, src_env
 
 TINY_CONFIG_TEXT = """\
 input=16x16x3
@@ -224,6 +225,16 @@ def test_format_breaking_image_name_is_runtime_error(tmp_path, tiny_dataset, tin
     assert not (tmp_path / "s.csv").exists() and not (tmp_path / "m.smxc").exists()
 
 
+def test_infinite_bn_eps_config_is_runtime_error(tmp_path, tiny_dataset, capsys):
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text(TINY_CONFIG_TEXT.replace("bn_eps=0.001", "bn_eps=inf"))
+    rc = run_inproc(["train", "--data", str(tiny_dataset), "--config", str(cfg), "--epochs", "1",
+                     "--out", str(tmp_path / "m.smxc"), "--quiet"])
+    assert rc == 2
+    assert "bn_eps must be finite and > 0, got inf" in capsys.readouterr().err
+    assert not (tmp_path / "m.smxc").exists()
+
+
 def test_duplicate_manifest_path_is_runtime_error(tmp_path, tiny_dataset, tiny_config, capsys):
     manifest = tmp_path / "split.csv"
     assert run_inproc(["split", "--data", str(tiny_dataset), "--out", str(manifest)]) == 0
@@ -257,3 +268,38 @@ def test_nan_pixel_abort_names_epoch_and_batch(tmp_path, tiny_dataset, tiny_conf
     assert poisoned
     assert re.search(r"^error: epoch 1, batch [1-9]: non-finite", err, re.MULTILINE), err
     assert not (tmp_path / "m.smxc").exists()
+
+
+@pytest.mark.parametrize("command, artifact", [
+    (["analyze", "--config", "{config}", "--csv", "{out}"], "{out}"),
+    (["split", "--data", "{data}", "--out", "{out}"], "{out}"),
+    (["eval", "--model", "{model}", "--data", "{data}", "--confusion", "{out}"], "{out}"),
+    (["eval", "--model", "{model}", "--data", "{data}", "--metrics", "{out}"], "{out}"),
+    (["synth", "--out", "{out}", "--classes", "2", "--per-class", "3", "--side", "16"],
+     "{out}/00_stripes_horizontal/0000.ppm"),
+], ids=["analyze-csv", "split-out", "eval-confusion", "eval-metrics", "synth-ppm"])
+def test_killed_artifact_write_keeps_the_old_file(tmp_path, tiny_dataset, tiny_config, command, artifact,
+                                                  capsys):
+    model = tmp_path / "m.smxc"
+    if command[0] == "eval":
+        assert run_inproc(["train", "--data", str(tiny_dataset), "--config", str(tiny_config), "--epochs", "1",
+                           "--batch", "8", "--out", str(model), "--quiet"]) == 0
+
+    def resolve(out):
+        subs = {"config": tiny_config, "data": tiny_dataset, "model": model, "out": out}
+        return [arg.format(**subs) for arg in command], pathlib.Path(artifact.format(**subs))
+
+    args, path = resolve(tmp_path / "fresh")
+    assert run_inproc(args) == 0
+    new_size = path.stat().st_size
+    args, path = resolve(tmp_path / "kept")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    old = b"the previous artifact\n"
+    path.write_bytes(old)
+    # a file-size limit makes the write fail with EFBIG halfway through the new file
+    proc = run_with_file_size_limit(
+        f"import sys\nfrom scenemixer import cli\nsys.exit(cli.main({args!r}))\n", new_size // 2
+    )
+    assert proc.returncode == 2 and "File too large" in proc.stderr, proc.stderr
+    assert path.read_bytes() == old
+    assert not list(tmp_path.rglob("*.tmp"))

@@ -323,6 +323,13 @@ def test_config_text_rejects_unknown_key():
         sm.parse_config_text(text)
 
 
+@pytest.mark.parametrize("bn_eps", ["inf", "nan", "0", "-1e-3"])
+def test_config_text_rejects_non_finite_or_non_positive_bn_eps(bn_eps):
+    text = sm.config_to_text(TINY).replace("bn_eps=0.001", f"bn_eps={bn_eps}")
+    with pytest.raises(ValueError, match=rf"bn_eps must be finite and > 0, got {float(bn_eps)}"):
+        sm.parse_config_text(text)
+
+
 @pytest.mark.parametrize("extents", [(2**62, 4, 1, 1), (2**32, 2**32, 1, 1)])
 def test_checkpoint_forged_extents_rejected(tmp_path, extents):
     # both products are 2**64, which wraps a fixed-width element count to 0
@@ -402,6 +409,14 @@ def test_checkpoint_config_error_keeps_message(tmp_path):
     with pytest.raises(sm.CheckpointError, match=r"bn_momentum must be in \(0,1\), got 9.99") as info:
         sm.load(path)
     assert type(info.value.__cause__) is ValueError
+
+
+def test_checkpoint_infinite_bn_eps_rejected(tmp_path):
+    # with an infinite epsilon BN outputs beta everywhere, so every image gets the same probabilities
+    path, blob = _saved_blob(tmp_path)
+    path.write_bytes(_replace_config(blob, b"bn_eps=0.001", b"bn_eps=inf"))
+    with pytest.raises(sm.CheckpointError, match=r"bn_eps must be finite and > 0, got inf"):
+        sm.load(path)
 
 
 def test_checkpoint_element_count_checked_before_build(tmp_path, monkeypatch):

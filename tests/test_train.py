@@ -266,6 +266,16 @@ def test_nan_pixel_abort_names_epoch_and_batch(rng):
     assert type(original) is FloatingPointError and "batch" not in str(original)
 
 
+def test_nan_validation_pixel_abort_names_the_epoch(rng):
+    x, y = _toy_dataset(rng, 6)
+    x_val = x.copy()
+    x_val[2, 1, 2, 0] = np.nan
+    with pytest.raises(FloatingPointError, match=r"^epoch 1, validation: non-finite cross-entropy loss: nan$") as info:
+        tr.fit(sm.build(TINY, seed=0), (x, y), (x_val, y), tr.TrainConfig(epochs=2, batch_size=4, seed=3))
+    original = info.value.__cause__
+    assert type(original) is FloatingPointError and str(original) == "non-finite cross-entropy loss: nan"
+
+
 def test_abort_context_keeps_the_parameter_and_chains_the_original(rng, monkeypatch):
     x, y = _toy_dataset(rng, 6)  # 3 batches of 4 per epoch
     real_step, calls, raised = tr.adam_step, [], []
