@@ -182,10 +182,14 @@ def load_dataset(root) -> DatasetManifest:
     manifest = DatasetManifest(class_names)
     for idx, name in enumerate(class_names):
         folder = os.path.join(root, name)
-        if "," in name or "=" in name or _breaks_line(name):
+        if "," in name or "=" in name or _breaks_line(name) or name != name.strip():
             # class names are stored comma-separated in key=value checkpoint
-            # lines and in the comma-separated split manifest
-            raise ValueError(f"class folder {folder!r}: name must not contain ',', '=' or a line break")
+            # lines, whose reader strips outer whitespace, and in the
+            # comma-separated split manifest
+            raise ValueError(
+                f"class folder {folder!r}: name must not contain ',', '=' or a line break,"
+                " nor begin or end with whitespace"
+            )
         files = sorted(f for f in os.listdir(folder) if f.lower().endswith(".ppm"))
         if not files:
             raise ValueError(f"class folder {folder} contains no .ppm images")

@@ -6,13 +6,17 @@ the encoding their readers use. A regular file, or a path that does not
 exist yet, is written to a temp file beside it and renamed over it, so a
 kill mid-write leaves the old file or the whole new one; the directory
 must therefore be writable. A symlink is followed: the file it names is
-replaced and the link stays. A target that cannot be replaced (a FIFO, a
-terminal, `/dev/stdout` or a directory) is opened and written directly,
-as `open(path, "wb")` would.
+replaced and the link stays. A target that is the file descriptor 1
+refers to, such as `/dev/stdout`, is written through descriptor 1 after
+`sys.stdout` is flushed, so the artifact follows what the command printed
+instead of replacing or overwriting it. Any other target that cannot be
+replaced (a FIFO, a terminal or a directory) is opened and written
+directly, as `open(path, "wb")` would.
 """
 
 import os
 import stat
+import sys
 
 
 def write_atomic(path, chunks):
@@ -27,10 +31,19 @@ def write_atomic(path, chunks):
     """
     path = os.fspath(path)
     try:
-        mode = os.stat(path).st_mode
+        st = os.stat(path)
     except FileNotFoundError:
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
+        st = None
+    try:
+        is_stdout = st is not None and os.path.samestat(st, os.fstat(1))
+    except OSError:  # descriptor 1 is closed
+        is_stdout = False
+    if is_stdout:
+        sys.stdout.flush()
+        with open(1, "wb", closefd=False) as fh:
+            fh.writelines(chunks)
+        return
+    if st is not None and not stat.S_ISREG(st.st_mode):
         with open(path, "wb") as fh:
             fh.writelines(chunks)
         return
@@ -47,8 +60,8 @@ def write_atomic(path, chunks):
     try:
         with open(fd, "wb") as fh:
             fh.writelines(chunks)
-        if mode is not None:
-            os.chmod(tmp, stat.S_IMODE(mode))
+        if st is not None:
+            os.chmod(tmp, stat.S_IMODE(st.st_mode))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import ndtr
 
 from .numerics import ShapeError, Tensor
@@ -159,43 +160,10 @@ def patch_embed_backward(cache: LayerCache, upstream: Tensor):
 # ---------------------------------------------------------------------------
 # depthwise convolution, same padding, one kxk filter per channel
 
-# Images per block of the depthwise tap loop: one block's padded input,
-# products and output stay in L2 across all k*k taps. A constant, because
-# the backward's dw sums block by block: a block size that varied (with the
-# thread count, say) would change its bytes.
-_BLOCK = 4
-
-
-def _padded_blocks(x: Tensor, pad: int):
-    """Yield (start, zero-padded copy of x[start:start + _BLOCK]), reusing one buffer."""
-    n, h, w, c = x.shape
-    buf = np.zeros((min(n, _BLOCK), h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
-    for start in range(0, n, _BLOCK):
-        block = x[start : start + _BLOCK]
-        xp = buf[: len(block)]
-        xp[:, pad : pad + h, pad : pad + w, :] = block  # the border is never written, so stays zero
-        yield start, xp
-
-
-def _depthwise_taps(src: Tensor, w: Tensor, bias: Tensor) -> Tensor:
-    """bias + same-padded per-channel correlation of src with the (k, k, c) bank w.
-
-    Every output element adds bias first, then the taps in row-major (dy, dx)
-    order, so the result does not depend on how the batch is split into blocks.
-    """
-    k = w.shape[0]
-    n, h, ww, c = src.shape
-    out = np.empty_like(src)
-    prod = np.empty((min(n, _BLOCK), h, ww, c), dtype=np.result_type(src, w))
-    for start, xp in _padded_blocks(src, k // 2):
-        o = out[start : start + _BLOCK]
-        t = prod[: len(o)]
-        o[:] = bias
-        for dy in range(k):
-            for dx in range(k):
-                np.multiply(xp[:, dy : dy + h, dx : dx + ww, :], w[dy, dx], out=t)
-                o += t
-    return out
+def _windows(x: Tensor, k: int) -> Tensor:
+    """Read-only (n, y, x, c, k, k) view of the k x k windows of x, zero-padded to same size."""
+    pad = k // 2
+    return sliding_window_view(np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))), (k, k), axis=(1, 2))
 
 
 def depthwise_conv_forward(x: Tensor, p: ConvParams):
@@ -208,7 +176,10 @@ def depthwise_conv_forward(x: Tensor, p: ConvParams):
         raise ShapeError(f"depthwise weights {w.shape} do not match kernel {k} and {c} channels")
     if p.bias.shape != (c,):
         raise ShapeError(f"depthwise bias shape {p.bias.shape} != ({c},)")
-    out = _depthwise_taps(x, w, p.bias)
+    # einsum without `optimize` makes no BLAS call, so the summation order
+    # depends neither on the thread count nor on the batch size
+    out = np.einsum("nyxcij,ijc->nyxc", _windows(x, k), w).astype(x.dtype, copy=False)
+    out += p.bias
     _record("depthwise_conv", n * h * ww * c * k * k)
     # x itself, not a padded copy: parallel branches over one input share it
     cache = LayerCache("depthwise_conv", out.shape, {"x": x, "weights": w})
@@ -219,18 +190,11 @@ def depthwise_conv_forward(x: Tensor, p: ConvParams):
 def depthwise_conv_backward(cache: LayerCache, upstream: Tensor):
     saved = _consume(cache, "depthwise_conv", upstream)
     x, w = saved["x"], saved["weights"]
-    _, h, ww, c = x.shape
     k = w.shape[0]
-    dw = np.zeros_like(w)
-    for start, xp in _padded_blocks(x, k // 2):
-        g = upstream[start : start + _BLOCK]
-        for dy in range(k):
-            for dx in range(k):
-                dw[dy, dx] += np.einsum("nyxc,nyxc->c", xp[:, dy : dy + h, dx : dx + ww, :], g)
+    dw = np.einsum("nyxcij,nyxc->ijc", _windows(x, k), upstream).astype(w.dtype, copy=False)
     db = upstream.sum(axis=(0, 1, 2))
-    # the adjoint of a same-padded correlation is the correlation with the
-    # flipped kernel; the private kernel records no MACs and opens no forward span
-    dx = _depthwise_taps(upstream, w[::-1, ::-1], np.zeros(c, dtype=upstream.dtype))
+    # the adjoint of a same-padded correlation is the correlation with the flipped kernel
+    dx = np.einsum("nyxcij,ijc->nyxc", _windows(upstream, k), w[::-1, ::-1])
     return dx.astype(x.dtype, copy=False), dw, db
 
 

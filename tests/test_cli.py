@@ -1,3 +1,4 @@
+import os
 import pathlib
 import re
 import subprocess
@@ -71,6 +72,26 @@ def test_analyze_writes_csv(tmp_path, tiny_config, capsys):
     lines = csv_path.read_text().strip().split("\n")
     assert lines[0] == "layer,params,macs,flops"
     assert lines[-1].startswith("total,")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+@pytest.mark.parametrize("stdout", ["file", "pipe"])
+def test_analyze_csv_to_own_stdout_follows_the_table(tmp_path, stdout, capsys):
+    csv_path = tmp_path / "cost.csv"
+    assert run_inproc(["analyze", "--config", "eurosat-default", "--csv", str(csv_path)]) == 0
+    want = capsys.readouterr().out.encode("utf-8") + csv_path.read_bytes()
+    args = [sys.executable, "-m", "scenemixer", "analyze", "--config", "eurosat-default", "--csv", "/dev/stdout"]
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)  # a pipe then block-buffers the table
+    if stdout == "file":
+        out_path = tmp_path / "out.txt"
+        with open(out_path, "wb") as fh:
+            subprocess.run(args, stdout=fh, stderr=subprocess.DEVNULL, env=env, timeout=300, check=True)
+        got = out_path.read_bytes()
+    else:
+        got = subprocess.run(args, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env, timeout=300,
+                             check=True).stdout
+    assert got == want
 
 
 def test_analyze_missing_config_is_runtime_error(capsys):

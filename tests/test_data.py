@@ -283,7 +283,7 @@ def test_write_dataset_round_trip(tmp_path):
     assert np.max(np.abs(img - manifest.samples[0].image)) <= 0.5 / 255.0 + 1e-6
 
 
-@pytest.mark.parametrize("bad", ["a,b", "a=b", "a\nb", "a\rb"])
+@pytest.mark.parametrize("bad", ["a,b", "a=b", "a\nb", "a\rb", " a", "a "])
 def test_load_dataset_rejects_format_breaking_class_names(tmp_path, bad):
     _write_tree(tmp_path, [bad, "c"], [3, 3])
     with pytest.raises(ValueError, match="class folder .*must not contain"):

@@ -80,7 +80,7 @@ def _exact(rng, shape):
 @pytest.mark.parametrize("k", [1, 3, 5, 7])
 @pytest.mark.parametrize("n", [1, 5, 9])
 def test_depthwise_grads_across_batch_blocks(n, k, dtype):
-    # the kernel runs over blocks of 4 images: 1, 5 and 9 end in a first, second and third block
+    # dw sums over the whole batch at once: 1, 5 and 9 images check that sum at several sizes
     rng = _rng(10 * n + k)
     x, w, b = _exact(rng, (n, 6, 5, 3)), _exact(rng, (k, k, 3)), _exact(rng, 3)
     r = _exact(rng, (n, 6, 5, 3))

@@ -115,12 +115,23 @@ def test_depthwise_matches_direct_oracle(rng, k):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_depthwise_batch_equals_per_image_bytes(rng, dtype):
-    # 9 images span three blocks of the tap loop, the last one partial
+    # each image's output must not depend on the batch around it, byte for byte
     x = rng.standard_normal((9, 6, 5, 3)).astype(dtype)
     p = ConvParams(rng.standard_normal((5, 5, 3)).astype(dtype), rng.standard_normal(3).astype(dtype))
     whole = layers.depthwise_conv_forward(x, p)[0]
     single = np.concatenate([layers.depthwise_conv_forward(x[i : i + 1], p)[0] for i in range(len(x))])
     assert whole.dtype == dtype and whole.tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("x_dtype, w_dtype", [(np.float32, np.float64), (np.float64, np.float32)])
+def test_depthwise_mixed_dtypes_keep_input_dtypes(rng, x_dtype, w_dtype):
+    x = rng.standard_normal((2, 5, 4, 3)).astype(x_dtype)
+    p = ConvParams(rng.standard_normal((3, 3, 3)).astype(w_dtype), rng.standard_normal(3).astype(w_dtype))
+    out, cache = layers.depthwise_conv_forward(x, p)
+    upstream = rng.standard_normal(out.shape).astype(w_dtype)
+    dx, dw, db = layers.depthwise_conv_backward(cache, upstream)
+    assert out.dtype == dx.dtype == x_dtype
+    assert dw.dtype == w_dtype and db.dtype == upstream.dtype
 
 
 def test_depthwise_rejects_even_kernel():
