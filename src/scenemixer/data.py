@@ -374,6 +374,8 @@ def synth_generate(classes: int, per_class: int, side: int = 64, seed: int = 0) 
         raise ValueError(f"only {len(SYNTH_PATTERNS)} texture patterns available, asked for {classes}")
     if per_class < 1:
         raise ValueError(f"per_class must be >= 1, got {per_class}")
+    if side < 1:
+        raise ValueError(f"side must be >= 1, got {side}")
     names = [name for name, _ in SYNTH_PATTERNS[:classes]]
     manifest = DatasetManifest(names)
     for cls in range(classes):

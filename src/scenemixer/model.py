@@ -416,6 +416,10 @@ def load(path) -> SceneMixerModel:
         tensors[name] = np.frombuffer(r.take(4 * size), dtype="<f4").reshape(shape)
     if r.pos != len(blob):
         raise CheckpointError(f"trailing bytes in checkpoint: {len(blob) - r.pos}")
+    # count_params walks the blocks, and every block stores tensors: a forged
+    # depth must not cost more than the file's size
+    if config.depth > len(tensors):
+        raise CheckpointError(f"config has depth {config.depth:,}, but the checkpoint stores only {len(tensors)} tensors")
     # before build: a forged embed_dim must not allocate its embed_dim**2 weights
     stored, needed = sum(t.size for t in tensors.values()), count_params(config)
     if stored != needed:

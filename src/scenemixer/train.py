@@ -30,6 +30,8 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self):
+        if not math.isfinite(self.lr_init):
+            raise ValueError(f"lr_init must be finite, got {self.lr_init}")
         if self.lr_init < LR_MIN:
             raise ValueError(f"lr_init {self.lr_init} is below the learning-rate floor LR_MIN {LR_MIN}")
         if self.batch_size < 1:

@@ -256,6 +256,45 @@ def test_infinite_bn_eps_config_is_runtime_error(tmp_path, tiny_dataset, capsys)
     assert not (tmp_path / "m.smxc").exists()
 
 
+def test_non_finite_learning_rate_is_runtime_error(tmp_path, tiny_dataset, tiny_config, capsys):
+    for lr in ("nan", "inf"):
+        rc = run_inproc(["train", "--data", str(tiny_dataset), "--config", str(tiny_config), "--epochs", "1",
+                         "--lr", lr, "--out", str(tmp_path / "m.smxc"), "--quiet"])
+        assert rc == 2
+        assert f"lr_init must be finite, got {lr}" in capsys.readouterr().err
+        assert not (tmp_path / "m.smxc").exists()
+
+
+@pytest.mark.parametrize("classes", ["3", "4"])
+def test_empty_synth_side_is_runtime_error(tmp_path, classes, capsys):
+    rc = run_inproc(["synth", "--out", str(tmp_path / "s"), "--classes", classes, "--per-class", "2",
+                     "--side", "0"])
+    assert rc == 2
+    assert "side must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+def test_every_command_runs_without_scipy(tmp_path, tiny_config):
+    data, model = tmp_path / "scenes", tmp_path / "m.smxc"
+    commands = [
+        ["analyze", "--config", str(tiny_config)],
+        ["synth", "--out", str(data), "--classes", "3", "--per-class", "12", "--side", "16", "--seed", "5"],
+        ["split", "--data", str(data), "--out", str(tmp_path / "split.csv")],
+        ["train", "--data", str(data), "--config", str(tiny_config), "--epochs", "1", "--batch", "8",
+         "--manifest", str(tmp_path / "split.csv"), "--out", str(model), "--quiet"],
+        ["eval", "--model", str(model), "--data", str(data), "--manifest", str(tmp_path / "split.csv")],
+        ["predict", "--model", str(model), "--image", str(data / "00_stripes_horizontal" / "0000.ppm")],
+    ]
+    # a None entry in sys.modules makes every import of scipy raise ImportError
+    code = (
+        "import sys\nsys.modules['scipy'] = None\nfrom scenemixer import cli\n"
+        f"sys.exit(max(cli.main(args) for args in {commands!r}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert model.exists()
+
+
 def test_duplicate_manifest_path_is_runtime_error(tmp_path, tiny_dataset, tiny_config, capsys):
     manifest = tmp_path / "split.csv"
     assert run_inproc(["split", "--data", str(tiny_dataset), "--out", str(manifest)]) == 0

@@ -195,7 +195,7 @@ def test_pointwise_rejects_channel_mismatch():
 
 def _phi_series(x, terms=40):
     # normal CDF from the error-function Taylor series: an oracle that
-    # shares nothing with scipy
+    # shares nothing with math.erfc or scipy
     z = x / math.sqrt(2.0)
     total = 0.0
     for n in range(terms):
@@ -265,11 +265,18 @@ def test_float32_gelu_batch_equals_per_image_bytes(rng):
     assert whole.dtype == np.float32 and whole.tobytes() == single.tobytes()
 
 
-def test_float64_gelu_keeps_ndtr(rng):
-    x = rng.standard_normal((2, 3, 3, 4))
-    out, cache = layers.gelu_forward(x)
-    assert cache.saved["cdf"].tobytes() == ndtr(x).tobytes()
-    assert out.tobytes() == (x * ndtr(x)).tobytes()
+def test_float64_gelu_cdf_matches_ndtr():
+    # scipy is a reference here only; the library computes the CDF with math.erfc
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    x = np.concatenate([np.linspace(-40, 40, 800_001), specials])
+    with np.errstate(invalid="ignore"):  # -inf * 0
+        out, cache = layers.gelu_forward(x)
+        want = x * cache.saved["cdf"]
+    cdf = cache.saved["cdf"]
+    assert cdf.dtype == np.float64 and cdf.shape == x.shape
+    assert np.max(np.abs(cdf[:-1] - ndtr(x[:-1]))) <= 1e-15
+    assert list(cdf[-5:-1]) == [0.5, 0.5, 1.0, 0.0] and np.isnan(cdf[-1])
+    assert out.dtype == np.float64 and out.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from scenemixer import analyzer
 from scenemixer import model as sm
 from scenemixer import train as tr
 from scenemixer.numerics import ShapeError, finite_diff_grad
@@ -428,6 +429,18 @@ def test_checkpoint_element_count_checked_before_build(tmp_path, monkeypatch):
 
     monkeypatch.setattr(sm, "build", no_build)
     with pytest.raises(sm.CheckpointError, match="hold 102 values, the embedded config needs 16,973,826"):
+        sm.load(path)
+
+
+def test_checkpoint_depth_checked_before_counting(tmp_path, monkeypatch):
+    path, blob = _saved_blob(tmp_path)
+    path.write_bytes(_replace_config(blob, b"depth=1", b"depth=100000000"))
+
+    def no_count(*args, **kwargs):
+        raise AssertionError("count_params ran for a depth the checkpoint's tensors cannot hold")
+
+    monkeypatch.setattr(analyzer, "count_params", no_count)
+    with pytest.raises(sm.CheckpointError, match="depth 100,000,000, but the checkpoint stores only 14 tensors"):
         sm.load(path)
 
 

@@ -248,6 +248,9 @@ def test_history_csv_format(rng):
 def test_train_config_validation():
     with pytest.raises(ValueError):
         tr.TrainConfig(lr_init=tr.LR_MIN / 2).validate()
+    for lr in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"lr_init must be finite, got {lr}"):
+            tr.TrainConfig(lr_init=lr).validate()
 
 
 # ---------------------------------------------------------------------------
