@@ -12,10 +12,13 @@ epsilon have no defaults here: `ModelConfig.bn_momentum` (0.99) and
 `ModelConfig.bn_eps` (1e-3) set them.
 
 GELU uses the exact normal CDF. For float32 inputs it is evaluated with the
-Numerical Recipes erfc fit (absolute error below 3e-7); float64 inputs, which
-the gradient checks use, take it from the standard library's `math.erfc`,
-element by element. GELU and batch norm build their outputs with in-place ufuncs,
-so each call allocates only the arrays it returns or caches.
+Abramowitz & Stegun 7.1.26 erfc fit (absolute error below 3e-7, 2.62e-7
+measured); float64 inputs, which the gradient checks use, take it from the
+standard library's `math.erfc`, element by element. A train-mode GELU caches
+only its derivative cdf + x pdf; an infer-mode one caches nothing. In infer
+mode batch norm is one scale and shift per channel, x (gamma inv) +
+(beta - mean gamma inv). GELU and batch norm build their outputs with in-place
+ufuncs, so each call allocates only the arrays it returns or caches.
 """
 
 import contextlib
@@ -227,84 +230,109 @@ def pointwise_conv_backward(cache: LayerCache, upstream: Tensor):
 
 # ---------------------------------------------------------------------------
 # GELU with the exact normal CDF (not the tanh approximation); float32 inputs
-# evaluate it with the Numerical Recipes erfc fit (absolute CDF error below
-# 3e-7), float64 inputs with `math.erfc` as a per-element object ufunc, which is
-# slow but serves only the gradient checks
+# evaluate it with the Abramowitz & Stegun 7.1.26 erfc fit (absolute CDF error
+# below 3e-7, 2.62e-7 measured), float64 inputs with `math.erfc` as a
+# per-element object ufunc, which is slow but serves only the gradient checks.
+# A train-mode forward caches only the derivative d = cdf + x pdf, so the
+# backward is one product and the input need not be kept.
 
 _ERFC = np.frompyfunc(math.erfc, 1, 1)
 
-# Elements per slab of `_normal_cdf`: a slab and its two scratch buffers
-# (3 x 128 KiB) stay in L2 across all ~30 passes of the fit.
+# Elements per slab: a slab, its two scratch buffers and its one or two
+# outputs (5 x 128 KiB) stay in L2 across the ~25 passes of the kernel.
 _SLAB = 1 << 15
-# erfc(z) ~= t exp(-z^2 + c0 + t (c1 + t (c2 + ... + t c9))), t = 1 / (1 + z/2),
-# fractional error < 1.2e-7 for z >= 0 (Numerical Recipes, 2nd ed., section 6.2).
-# c0 absorbs ln 2, so the fit returns erfc(z) / 2 = Q(z sqrt 2), the upper normal tail.
-_ERFC_FIT = (
-    -1.26551223 - math.log(2.0), 1.00002368, 0.37409196, 0.09678418, -0.18628806,
-    0.27886807, -1.13520398, 1.48851587, -0.82215223, 0.17087277,
-)
+# erfc(z) ~= t (a1 + t (a2 + t (a3 + t (a4 + t a5)))) exp(-z^2), t = 1 / (1 + p z),
+# absolute error < 1.5e-7 for z >= 0 (Abramowitz & Stegun 7.1.26). With
+# z = |x| / sqrt 2 and the a_i halved, the fit returns Q(|x|), the upper
+# normal tail, and its exp(-x^2 / 2) is sqrt(2 pi) pdf(x).
+_AS_P = 0.3275911 * _INV_SQRT_2
+_AS_HALF_A = tuple(0.5 * a for a in (0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429))
+_SIGN_BIT = np.int32(-(2**31))
+_HALF_BITS = np.float32(0.5).view(np.int32)
+
+
+def _check_mode(layer: str, mode: str):
+    if mode not in ("train", "infer"):
+        raise ValueError(f"{layer} mode must be 'train' or 'infer', got {mode!r}")
+
+
+def _cdf_slab(xs: Tensor, t: Tensor, e: Tensor, cdf: Tensor):
+    """Normal CDF of the 1-D slab xs into cdf, leaving exp(-x^2 / 2) in e; t is scratch."""
+    np.multiply(xs, xs, out=e)
+    e *= -0.5
+    np.exp(e, out=e)
+    if xs.dtype != np.float32:
+        # float64 does not use the fit: with it, the float64 full-model gradient check misses TOL (6.1e-3 > 1e-4)
+        cdf[:] = 0.5 * _ERFC(xs * -_INV_SQRT_2)
+        return
+    np.abs(xs, out=t)
+    t *= _AS_P
+    t += 1.0
+    np.reciprocal(t, out=t)
+    np.multiply(t, _AS_HALF_A[4], out=cdf)
+    for a in _AS_HALF_A[3::-1]:
+        cdf += a
+        cdf *= t
+    cdf *= e  # Q(|x|)
+    # CDF = 1 - Q for x >= +0 and Q for x <= -0, exact in the lower tail: the
+    # sign bit of x turns Q into -Q and 0.5 into -0.5, then (0.5 +- 0.5) - (+-Q)
+    sign, q = t.view(np.int32), cdf.view(np.int32)
+    np.bitwise_and(xs.view(np.int32), _SIGN_BIT, out=sign)
+    q |= sign
+    sign |= _HALF_BITS
+    t += 0.5
+    np.subtract(t, cdf, out=cdf)
+
+
+def _slabwise(kernel, x: Tensor, n_out: int) -> list:
+    """Run kernel(xs, t, e, *outs) over 1-D slabs of x; returns n_out arrays shaped like x."""
+    outs = [np.empty(x.shape, x.dtype) for _ in range(n_out)]
+    src, dsts = x.reshape(-1), [o.reshape(-1) for o in outs]
+    t_buf = np.empty(min(src.size, _SLAB), dtype=x.dtype)
+    e_buf = np.empty_like(t_buf)
+    with np.errstate(over="ignore"):  # x*x overflows to inf near float32 max; the tail is then 0
+        for start in range(0, src.size, _SLAB):
+            xs = src[start : start + _SLAB]
+            kernel(xs, t_buf[: len(xs)], e_buf[: len(xs)], *(d[start : start + _SLAB] for d in dsts))
+    return outs
 
 
 def _normal_cdf(x: Tensor) -> Tensor:
-    """Standard normal CDF of a float32 array, slab by slab with in-place ufuncs."""
-    out = np.empty(x.shape, dtype=np.float32)
-    src, dst = x.reshape(-1), out.reshape(-1)
-    t_buf = np.empty(min(src.size, _SLAB), dtype=np.float32)
-    z_buf = np.empty_like(t_buf)
-    with np.errstate(over="ignore"):  # x*x overflows to inf near float32 max; the tail is then 0
-        for start in range(0, src.size, _SLAB):
-            xs, q = src[start : start + _SLAB], dst[start : start + _SLAB]
-            t, z = t_buf[: len(xs)], z_buf[: len(xs)]
-            # t = 1 / (1 + z/2) for z = |x| / sqrt(2)
-            np.abs(xs, out=z)
-            np.multiply(z, 0.5 * _INV_SQRT_2, out=t)
-            t += 1.0
-            np.reciprocal(t, out=t)
-            np.multiply(t, _ERFC_FIT[9], out=q)
-            for c in _ERFC_FIT[8:0:-1]:
-                q += c
-                q *= t
-            np.multiply(xs, xs, out=z)
-            z *= 0.5  # z^2 = x^2 / 2
-            z -= _ERFC_FIT[0]
-            q -= z  # the exponent -z^2 + c0 + t (...)
-            np.exp(q, out=q)
-            q *= t  # Q(|x|)
-            # CDF = 1 - Q for x >= +0 and Q for x <= -0, exact in the lower tail
-            np.copysign(q, xs, out=q)
-            np.copysign(0.5, xs, out=z)
-            z += 0.5
-            np.subtract(z, q, out=q)
-    return out
+    """Standard normal CDF: the A&S fit for float32, `math.erfc` otherwise."""
+    return _slabwise(_cdf_slab, x, 1)[0]
 
 
-def gelu_forward(x: Tensor):
-    # float64 does not use the fit: with it, the float64 full-model gradient check misses TOL (7.6e-4 > 1e-4)
-    cdf = _normal_cdf(x) if x.dtype == np.float32 else 0.5 * _ERFC(x * -_INV_SQRT_2).astype(x.dtype)
-    out = (x * cdf).astype(x.dtype, copy=False)
-    return out, LayerCache("gelu", out.shape, {"x": x, "cdf": cdf})
+def _gelu_slab(xs: Tensor, t: Tensor, e: Tensor, out: Tensor, d: Tensor = None):
+    _cdf_slab(xs, t, e, out)
+    if d is not None:
+        np.multiply(xs, e, out=d)
+        d *= _INV_SQRT_2PI  # x pdf
+        d += out
+    out *= xs
+
+
+def gelu_forward(x: Tensor, mode: str):
+    _check_mode("gelu", mode)
+    if mode == "train":
+        out, d = _slabwise(_gelu_slab, x, 2)
+        return out, LayerCache("gelu", out.shape, {"d": d})
+    (out,) = _slabwise(_gelu_slab, x, 1)
+    return out, LayerCache("gelu", out.shape)
 
 
 def gelu_backward(cache: LayerCache, upstream: Tensor) -> Tensor:
-    saved = _consume(cache, "gelu", upstream)
-    x, cdf = saved["x"], saved["cdf"]
-    # upstream * (cdf + x * pdf), built in one buffer
-    d = np.multiply(x, x)
-    d *= -0.5
-    np.exp(d, out=d)
-    d *= _INV_SQRT_2PI  # pdf
-    d *= x
-    d += cdf
-    d *= upstream
-    return d
+    d = _consume(cache, "gelu", upstream).pop("d", None)
+    if d is None:
+        raise ValueError("gelu_backward needs a train-mode cache; an infer-mode forward keeps no derivative")
+    # d is single-use, so it takes the product
+    return np.multiply(upstream, d, out=d)
 
 
 # ---------------------------------------------------------------------------
 # batch normalization over (n, y, x) per channel
 
 def batch_norm_forward(x: Tensor, s: BatchNormState, mode: str):
-    if mode not in ("train", "infer"):
-        raise ValueError(f"batch_norm mode must be 'train' or 'infer', got {mode!r}")
+    _check_mode("batch_norm", mode)
     n, h, w, c = x.shape
     if s.gamma.shape != (c,):
         raise ShapeError(f"batch norm state has {s.gamma.shape[0]} channels, input has {c}")
@@ -320,23 +348,32 @@ def batch_norm_forward(x: Tensor, s: BatchNormState, mode: str):
         inv = 1.0 / np.sqrt(var + s.epsilon)
         s.running_mean[:] = s.momentum * s.running_mean + (1.0 - s.momentum) * mean
         s.running_var[:] = s.momentum * s.running_var + (1.0 - s.momentum) * var
+        xhat *= inv
+        np.multiply(xhat, s.gamma, out=out)
+        out += s.beta
+        saved = {"xhat": xhat.reshape(x.shape), "inv": inv, "gamma": s.gamma, "mode": mode}
     else:
+        # one scale and one shift per channel: x (gamma inv) + (beta - mean gamma inv)
         inv = 1.0 / np.sqrt(s.running_var + s.epsilon)
-        xhat = flat - s.running_mean
-        out = np.empty_like(xhat)
-    xhat *= inv
-    np.multiply(xhat, s.gamma, out=out)
-    out += s.beta
+        scale = s.gamma * inv
+        out = np.multiply(flat, scale)
+        out += s.beta - s.running_mean * scale
+        # train-mode calls update running_mean in place, so the cache keeps a copy
+        saved = {"x": x, "mean": s.running_mean.copy(), "inv": inv, "gamma": s.gamma, "mode": mode}
     out = out.reshape(x.shape).astype(x.dtype, copy=False)
-    saved = {"xhat": xhat.reshape(x.shape), "inv": inv, "gamma": s.gamma, "mode": mode}
     return out, LayerCache("batch_norm", out.shape, saved)
 
 
 def batch_norm_backward(cache: LayerCache, upstream: Tensor):
     saved = _consume(cache, "batch_norm", upstream)
-    xhat, inv, gamma = saved["xhat"], saved["inv"], saved["gamma"]
+    inv, gamma = saved["inv"], saved["gamma"]
     c = gamma.shape[0]
-    u, xh = upstream.reshape(-1, c), xhat.reshape(-1, c)
+    u = upstream.reshape(-1, c)
+    if saved["mode"] == "train":
+        xh = saved["xhat"].reshape(-1, c)
+    else:  # the infer forward never forms xhat
+        xh = saved["x"].reshape(-1, c) - saved["mean"]
+        xh *= inv
     dgamma = np.einsum("ij,ij->j", u, xh)
     dbeta = u.sum(axis=0)
     if saved["mode"] == "train":

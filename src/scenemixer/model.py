@@ -276,7 +276,7 @@ def forward(model: SceneMixerModel, x: Tensor, mode: str):
                 merged += branch
             dw_caches.append(c)
         h, pw_cache = layers.pointwise_conv_forward(merged, pw)
-        g, gelu_cache = layers.gelu_forward(h)
+        g, gelu_cache = layers.gelu_forward(h, mode)
         b, bn_cache = layers.batch_norm_forward(g, model.bn_states[i], mode)
         if cfg.residual:
             b += t  # t stays intact: the depthwise caches hold it

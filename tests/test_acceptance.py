@@ -121,10 +121,10 @@ def test_criterion_04_gradient_suite():
             lambda t: float(np.sum(layers.pointwise_conv_forward(x, ConvParams(t, p.bias))[0] * r)), p.weights))
         # gelu
         x = rng.standard_normal((3, 4)) * 2
-        out, cache = layers.gelu_forward(x)
+        out, cache = layers.gelu_forward(x, "train")
         r = rng.standard_normal(out.shape)
         track(layers.gelu_backward(cache, r),
-              finite_diff_grad(lambda t: float(np.sum(layers.gelu_forward(t)[0] * r)), x))
+              finite_diff_grad(lambda t: float(np.sum(layers.gelu_forward(t, "infer")[0] * r)), x))
         # batch norm, both modes
         for mode in ("train", "infer"):
             x = rng.standard_normal((2, 3, 3, 2))

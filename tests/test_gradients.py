@@ -118,10 +118,10 @@ def test_pointwise_grads(seed):
 def test_gelu_grad(seed):
     rng = _rng(seed)
     x = rng.standard_normal((4, 7)) * 2
-    out, cache = layers.gelu_forward(x)
+    out, cache = layers.gelu_forward(x, "train")
     r = _proj(rng, out.shape)
     dx = layers.gelu_backward(cache, r)
-    _check(dx, finite_diff_grad(lambda t: float(np.sum(layers.gelu_forward(t)[0] * r)), x, H))
+    _check(dx, finite_diff_grad(lambda t: float(np.sum(layers.gelu_forward(t, "infer")[0] * r)), x, H))
 
 
 def _fresh_state(c, gamma, beta):

@@ -204,23 +204,23 @@ def _phi_series(x, terms=40):
 
 
 def test_gelu_zero():
-    assert layers.gelu_forward(np.zeros(1))[0][0] == 0.0
+    assert layers.gelu_forward(np.zeros(1), "infer")[0][0] == 0.0
 
 
 def test_gelu_one_matches_series():
     want = 1.0 * _phi_series(1.0)
-    got = layers.gelu_forward(np.array([1.0]))[0][0]
+    got = layers.gelu_forward(np.array([1.0]), "infer")[0][0]
     assert abs(got - want) < 1e-6
     assert abs(got - 0.8413447460685429) < 1e-6
 
 
 def test_gelu_negative_tail():
-    assert abs(layers.gelu_forward(np.array([-10.0]))[0][0]) < 1e-9
+    assert abs(layers.gelu_forward(np.array([-10.0]), "infer")[0][0]) < 1e-9
 
 
 F32_MAX = float(np.finfo(np.float32).max)
 F32_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, F32_MAX, -F32_MAX], dtype=np.float32)
-CDF_TOL = 3e-7  # absolute: the erfc fit's 1.2e-7 plus float32 rounding
+CDF_TOL = 3e-7  # absolute: the erfc fit's 7.5e-8 plus float32 rounding
 
 
 def test_float32_normal_cdf_matches_float64_ndtr():
@@ -238,7 +238,7 @@ def test_float32_normal_cdf_matches_float64_ndtr():
 
 def test_float32_gelu_non_finite_like_ndtr():
     with np.errstate(invalid="ignore"):
-        got = layers.gelu_forward(F32_SPECIALS)[0]
+        got = layers.gelu_forward(F32_SPECIALS, "infer")[0]
         want = F32_SPECIALS * ndtr(F32_SPECIALS)
     assert got.dtype == np.float32
     assert got[2] == np.inf and np.isnan(got[3]) and np.isnan(got[4])  # +inf, -inf, NaN
@@ -260,9 +260,14 @@ def test_float32_gelu_batch_equals_per_image_bytes(rng):
     # 9 images of 6,400 values: the first slab bound falls inside the sixth image
     x = (3 * rng.standard_normal((9, 10, 10, 64))).astype(np.float32)
     assert x.size > layers._SLAB and layers._SLAB % x[0].size
-    whole = layers.gelu_forward(x)[0]
-    single = np.concatenate([layers.gelu_forward(x[i : i + 1])[0] for i in range(len(x))])
-    assert whole.dtype == np.float32 and whole.tobytes() == single.tobytes()
+    for mode in ("train", "infer"):
+        whole = layers.gelu_forward(x, mode)
+        single = [layers.gelu_forward(x[i : i + 1], mode) for i in range(len(x))]
+        assert whole[0].dtype == np.float32
+        assert whole[0].tobytes() == np.concatenate([s[0] for s in single]).tobytes()
+        assert whole[1].saved.keys() == single[0][1].saved.keys()
+        for key in whole[1].saved:  # train mode's derivative, the same way
+            assert whole[1].saved[key].tobytes() == np.concatenate([s[1].saved[key] for s in single]).tobytes()
 
 
 def test_float64_gelu_cdf_matches_ndtr():
@@ -270,13 +275,54 @@ def test_float64_gelu_cdf_matches_ndtr():
     specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
     x = np.concatenate([np.linspace(-40, 40, 800_001), specials])
     with np.errstate(invalid="ignore"):  # -inf * 0
-        out, cache = layers.gelu_forward(x)
-        want = x * cache.saved["cdf"]
-    cdf = cache.saved["cdf"]
+        out = layers.gelu_forward(x, "infer")[0]
+        cdf = layers._normal_cdf(x)
+        want = x * cdf
     assert cdf.dtype == np.float64 and cdf.shape == x.shape
     assert np.max(np.abs(cdf[:-1] - ndtr(x[:-1]))) <= 1e-15
     assert list(cdf[-5:-1]) == [0.5, 0.5, 1.0, 0.0] and np.isnan(cdf[-1])
     assert out.dtype == np.float64 and out.tobytes() == want.tobytes()
+
+
+def test_float32_gelu_derivative_matches_float64_analytic():
+    x = np.linspace(-40, 40, 1_600_001, dtype=np.float32)
+    out, cache = layers.gelu_forward(x, "train")
+    x64 = x.astype(np.float64)
+    want = ndtr(x64) + x64 * np.exp(-0.5 * x64 * x64) / math.sqrt(2.0 * math.pi)
+    d = cache.saved["d"]
+    assert d.dtype == np.float32 and np.max(np.abs(d - want)) < 1e-6
+    # both modes write the same output bytes
+    assert out.tobytes() == layers.gelu_forward(x, "infer")[0].tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_caches_only_the_train_derivative(rng, dtype):
+    x = rng.standard_normal((2, 3, 3, 4)).astype(dtype)
+    _, train = layers.gelu_forward(x, "train")
+    assert list(train.saved) == ["d"] and train.saved["d"].dtype == dtype
+    out, infer = layers.gelu_forward(x, "infer")
+    assert infer.saved == {}
+    with pytest.raises(ValueError, match="train-mode cache"):
+        layers.gelu_backward(infer, np.ones_like(out))
+
+
+def test_gelu_backward_is_single_use(rng):
+    x = rng.standard_normal((2, 5)).astype(np.float32)
+    out, cache = layers.gelu_forward(x, "train")
+    d = cache.saved["d"].copy()
+    upstream = rng.standard_normal(out.shape).astype(np.float32)
+    assert np.array_equal(layers.gelu_backward(cache, upstream), upstream * d)
+    with pytest.raises(RuntimeError):
+        layers.gelu_backward(cache, upstream)
+
+
+@pytest.mark.parametrize("forward", [
+    lambda x, mode: layers.gelu_forward(x, mode),
+    lambda x, mode: layers.batch_norm_forward(x, _bn_state(2), mode),
+], ids=["gelu", "batch_norm"])
+def test_bad_mode_rejected(forward):
+    with pytest.raises(ValueError, match="mode must be 'train' or 'infer'"):
+        forward(np.zeros((2, 1, 1, 2)), "eval")
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +384,36 @@ def test_batch_norm_infer_does_not_mutate(rng):
     layers.batch_norm_forward(x, s, "infer")[0]
     assert np.array_equal(s.running_mean, before[0])
     assert np.array_equal(s.running_var, before[1])
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+def test_batch_norm_infer_matches_normalize_then_affine(rng, dtype, tol):
+    c = 5
+    x = (rng.standard_normal((3, 4, 4, c)) * 1.5 + 0.3).astype(dtype)
+    s = BatchNormState(
+        (rng.standard_normal(c) + 1.0).astype(dtype), rng.standard_normal(c).astype(dtype),
+        (0.5 * rng.standard_normal(c)).astype(dtype), rng.uniform(0.5, 2.0, c).astype(dtype),
+        momentum=0.99, epsilon=1e-3,
+    )
+    before = [a.copy() for a in (x, s.gamma, s.beta, s.running_mean, s.running_var)]
+    out = layers.batch_norm_forward(x, s, "infer")[0]
+    m, v, g, b = (a.astype(np.float64) for a in (s.running_mean, s.running_var, s.gamma, s.beta))
+    want = (x.astype(np.float64) - m) / np.sqrt(v + 1e-3) * g + b
+    # relative to the largest output: float32 spacing alone is 1e-6 at |out| = 8
+    assert out.dtype == dtype and np.max(np.abs(out - want)) < tol * np.max(np.abs(want))
+    after = (x, s.gamma, s.beta, s.running_mean, s.running_var)
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
+def test_batch_norm_infer_backward_ignores_later_train_calls(rng):
+    x = rng.standard_normal((2, 3, 3, 2))
+    s = _bn_state(2, momentum=0.5)
+    out, cache = layers.batch_norm_forward(x, s, "infer")
+    _, untouched = layers.batch_norm_forward(x, _bn_state(2, momentum=0.5), "infer")
+    layers.batch_norm_forward(x + 3.0, s, "train")  # updates the running statistics in place
+    r = rng.standard_normal(out.shape)
+    for got, want in zip(layers.batch_norm_backward(cache, r), layers.batch_norm_backward(untouched, r)):
+        assert np.array_equal(got, want)
 
 
 def test_batch_norm_rejects_single_element():
