@@ -4,7 +4,6 @@ The graph is: patch embedding -> depth x mixer block -> global average
 pooling -> dense -> softmax. A mixer block runs one depthwise branch per
 configured kernel size on the same input, merges the branches by
 elementwise sum, then pointwise conv, GELU and batch normalization.
-An optional residual connection around the whole block is off by default.
 
 Checkpoints use a small binary container (magic "SMXC"): little-endian
 u32 version, u32-length-prefixed UTF-8 config block of key=value lines,
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import layers
 from .fileio import write_atomic
-from .layers import BatchNormState, ConvParams
+from .layers import BatchNormState, ConvParams, LayerCache
 from .numerics import ShapeError, Tensor
 
 CHECKPOINT_MAGIC = b"SMXC"
@@ -43,7 +42,6 @@ class ModelConfig:
     num_classes: int = 10
     bn_eps: float = 1e-3
     bn_momentum: float = 0.99
-    residual: bool = False
 
     def __post_init__(self):
         self.kernels = tuple(int(k) for k in self.kernels)
@@ -100,7 +98,7 @@ def config_to_text(config: ModelConfig, extras: dict | None = None) -> str:
         f"num_classes={config.num_classes}",
         f"bn_eps={config.bn_eps!r}",
         f"bn_momentum={config.bn_momentum!r}",
-        f"residual={'true' if config.residual else 'false'}",
+        "residual=false",  # the block has no skip connection; the key stays for format compatibility
     ]
     for key, value in (extras or {}).items():
         lines.append(f"{key}={value}")
@@ -137,11 +135,10 @@ def parse_config_text(text: str):
         h, w, c = (int(v) for v in values["input"].split("x"))
     except ValueError as exc:
         raise ValueError(f"bad input spec {values['input']!r}, expected HxWxC") from exc
-    residual = values["residual"].lower()
-    if residual not in ("true", "false"):
-        raise ValueError(f"residual must be true or false, got {values['residual']!r}")
     if values["merge"] != "sum":
         raise ValueError(f"invalid model config: merge mode must be 'sum', got {values['merge']!r}")
+    if values["residual"].lower() != "false":
+        raise ValueError(f"invalid model config: residual must be 'false', got {values['residual']!r}")
     config = ModelConfig(
         input_h=h,
         input_w=w,
@@ -153,7 +150,6 @@ def parse_config_text(text: str):
         num_classes=int(values["num_classes"]),
         bn_eps=float(values["bn_eps"]),
         bn_momentum=float(values["bn_momentum"]),
-        residual=residual == "true",
     )
     config.validate()
     extras = {k: values[k] for k in _EXTRA_KEYS if k in values}
@@ -187,20 +183,9 @@ class SceneMixerModel:
         for name, t in self.all_tensors().items():
             t[:] = snap[name]
 
-    def block_conv_params(self, i: int):
-        """(per-kernel depthwise ConvParams, pointwise ConvParams) of block i."""
-        dws = [
-            ConvParams(self.params[f"block{i}.dw{k}.weights"], self.params[f"block{i}.dw{k}.bias"])
-            for k in self.config.kernels
-        ]
-        pw = ConvParams(self.params[f"block{i}.pw.weights"], self.params[f"block{i}.pw.bias"])
-        return dws, pw
-
-    def embed_params(self) -> ConvParams:
-        return ConvParams(self.params["embed.weights"], self.params["embed.bias"])
-
-    def head_params(self) -> ConvParams:
-        return ConvParams(self.params["head.weights"], self.params["head.bias"])
+    def conv(self, name: str) -> ConvParams:
+        """Weights and bias of layer `name`: "embed", "block{i}.dw{k}", "block{i}.pw" or "head"."""
+        return ConvParams(self.params[f"{name}.weights"], self.params[f"{name}.bias"])
 
 
 def _glorot(rng, shape, fan_in, fan_out, dtype):
@@ -239,13 +224,60 @@ def build(config: ModelConfig, seed: int, dtype=np.float32) -> SceneMixerModel:
 
 
 @dataclass
+class BlockCache:
+    """Layer caches of one train-mode mixer block."""
+
+    dw: list  # one depthwise cache per kernel, in config order
+    pw: LayerCache
+    gelu: LayerCache
+    bn: LayerCache
+
+
+@dataclass
 class ForwardCaches:
     """Per-layer caches from one train-mode forward, in graph order."""
 
-    embed: object
-    blocks: list  # per block: {"dw": [cache per kernel], "pw", "gelu", "bn"}
-    gap: object
-    dense: object
+    embed: LayerCache
+    blocks: list  # one BlockCache per block
+    gap: LayerCache
+    dense: LayerCache
+
+
+def _block_forward(model: SceneMixerModel, i: int, t: Tensor, mode: str):
+    """Mixer block i on t: (output, BlockCache in train mode or None in infer mode)."""
+    merged, dw_caches = None, []
+    for k in model.config.kernels:
+        branch, c = layers.depthwise_conv_forward(t, model.conv(f"block{i}.dw{k}"))
+        # no cache holds a branch output, so the first one accumulates the rest in place
+        if merged is None:
+            merged = branch
+        else:
+            merged += branch
+        dw_caches.append(c)
+    h, pw_cache = layers.pointwise_conv_forward(merged, model.conv(f"block{i}.pw"))
+    g, gelu_cache = layers.gelu_forward(h, mode)
+    b, bn_cache = layers.batch_norm_forward(g, model.bn_states[i], mode)
+    return b, (BlockCache(dw_caches, pw_cache, gelu_cache, bn_cache) if mode == "train" else None)
+
+
+def _block_backward(model: SceneMixerModel, i: int, cache: BlockCache, dout: Tensor, grads: dict) -> Tensor:
+    """Write block i's gradients into grads; return d(loss)/d(block input)."""
+    dg, grads[f"block{i}.bn.gamma"], grads[f"block{i}.bn.beta"] = layers.batch_norm_backward(cache.bn, dout)
+    dh = layers.gelu_backward(cache.gelu, dg)
+    dmerged, grads[f"block{i}.pw.weights"], grads[f"block{i}.pw.bias"] = layers.pointwise_conv_backward(
+        cache.pw, dh
+    )
+    dinput = None
+    for k, dw_cache in zip(model.config.kernels, cache.dw):
+        dx, grads[f"block{i}.dw{k}.weights"], grads[f"block{i}.dw{k}.bias"] = layers.depthwise_conv_backward(
+            dw_cache, dmerged
+        )
+        # every dx is a fresh array, so the first one accumulates the rest in place
+        if dinput is None:
+            dinput = dx
+        else:
+            dinput += dx
+    return dinput
 
 
 def forward(model: SceneMixerModel, x: Tensor, mode: str):
@@ -258,65 +290,27 @@ def forward(model: SceneMixerModel, x: Tensor, mode: str):
         )
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    want_caches = mode == "train"
     x = x.astype(model.dtype, copy=False)
 
-    t, embed_cache = layers.patch_embed_forward(x, model.embed_params())
-    block_caches = []
+    t, embed_cache = layers.patch_embed_forward(x, model.conv("embed"))
+    block_caches = [None] * cfg.depth
     for i in range(cfg.depth):
-        dws, pw = model.block_conv_params(i)
-        dw_caches = []
-        merged = None
-        for dwp in dws:
-            branch, c = layers.depthwise_conv_forward(t, dwp)
-            # no cache holds a branch output, so the first one accumulates the rest in place
-            if merged is None:
-                merged = branch
-            else:
-                merged += branch
-            dw_caches.append(c)
-        h, pw_cache = layers.pointwise_conv_forward(merged, pw)
-        g, gelu_cache = layers.gelu_forward(h, mode)
-        b, bn_cache = layers.batch_norm_forward(g, model.bn_states[i], mode)
-        if cfg.residual:
-            b += t  # t stays intact: the depthwise caches hold it
-        if want_caches:
-            block_caches.append({"dw": dw_caches, "pw": pw_cache, "gelu": gelu_cache, "bn": bn_cache})
-        t = b
-
+        t, block_caches[i] = _block_forward(model, i, t, mode)
     pooled, gap_cache = layers.global_avg_pool_forward(t)
-    logits, dense_cache = layers.dense_forward(pooled, model.head_params())
+    logits, dense_cache = layers.dense_forward(pooled, model.conv("head"))
     probs, _ = layers.softmax_forward(logits)
-    if not want_caches:
+    if mode == "infer":
         return probs, None
     return probs, ForwardCaches(embed_cache, block_caches, gap_cache, dense_cache)
 
 
 def backward(model: SceneMixerModel, caches: ForwardCaches, dlogits: Tensor):
     """Gradients given d(loss)/d(logits): (per-parameter dict, d(loss)/d(input))."""
-    cfg = model.config
     grads = {}
     dpooled, grads["head.weights"], grads["head.bias"] = layers.dense_backward(caches.dense, dlogits)
     dt = layers.global_avg_pool_backward(caches.gap, dpooled)
-    for i in range(cfg.depth - 1, -1, -1):
-        c = caches.blocks[i]
-        db = dt  # grad at the BN output; residual adds dt to the block input as well
-        dg, grads[f"block{i}.bn.gamma"], grads[f"block{i}.bn.beta"] = layers.batch_norm_backward(c["bn"], db)
-        dh = layers.gelu_backward(c["gelu"], dg)
-        dmerged, grads[f"block{i}.pw.weights"], grads[f"block{i}.pw.bias"] = layers.pointwise_conv_backward(
-            c["pw"], dh
-        )
-        # dt is no longer needed by BN, and every dx is a fresh array: accumulate in place
-        dinput = dt if cfg.residual else None
-        for k, cache in zip(cfg.kernels, c["dw"]):
-            dx, grads[f"block{i}.dw{k}.weights"], grads[f"block{i}.dw{k}.bias"] = layers.depthwise_conv_backward(
-                cache, dmerged
-            )
-            if dinput is None:
-                dinput = dx
-            else:
-                dinput += dx
-        dt = dinput
+    for i in reversed(range(model.config.depth)):
+        dt = _block_backward(model, i, caches.blocks[i], dt, grads)
     dx, grads["embed.weights"], grads["embed.bias"] = layers.patch_embed_backward(caches.embed, dt)
     return grads, dx
 

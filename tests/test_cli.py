@@ -256,6 +256,16 @@ def test_infinite_bn_eps_config_is_runtime_error(tmp_path, tiny_dataset, capsys)
     assert not (tmp_path / "m.smxc").exists()
 
 
+def test_residual_config_is_runtime_error(tmp_path, tiny_dataset, capsys):
+    cfg = tmp_path / "residual.cfg"
+    cfg.write_text(TINY_CONFIG_TEXT.replace("residual=false", "residual=true"))
+    rc = run_inproc(["train", "--data", str(tiny_dataset), "--config", str(cfg), "--epochs", "1",
+                     "--out", str(tmp_path / "m.smxc"), "--quiet"])
+    assert rc == 2
+    assert "residual must be 'false', got 'true'" in capsys.readouterr().err
+    assert not (tmp_path / "m.smxc").exists()
+
+
 def test_non_finite_learning_rate_is_runtime_error(tmp_path, tiny_dataset, tiny_config, capsys):
     for lr in ("nan", "inf"):
         rc = run_inproc(["train", "--data", str(tiny_dataset), "--config", str(tiny_config), "--epochs", "1",

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,13 +63,30 @@ def test_forward_block_shapes_stay_constant(rng):
     x = rng.random((1, 64, 64, 3), dtype=np.float32)
     _, caches = sm.forward(net, x, "train")
     for block in caches.blocks:
-        assert block["bn"].out_shape == (1, 16, 16, 128)
+        assert block.bn.out_shape == (1, 16, 16, 128)
 
 
 def test_forward_rejects_wrong_shape(rng):
     net = sm.build(TINY, seed=0)
     with pytest.raises(ShapeError):
         sm.forward(net, rng.random((1, 8, 8, 1), dtype=np.float32), "infer")
+
+
+def test_infer_forward_frees_each_block_before_the_next(rng):
+    # an activation is one (8, 16, 16, 128) float32 array; a forward that frees
+    # each block's intermediates before the next block peaks at about 6.4 of
+    # them, one that keeps them alive into the next block at about 8.65
+    net = sm.build(sm.ModelConfig.eurosat_default(), seed=0)
+    x = rng.random((8, 64, 64, 3), dtype=np.float32)
+    sm.forward(net, x, "infer")  # the first call also allocates numpy's one-time state
+    tracemalloc.start()
+    try:
+        sm.forward(net, x, "infer")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    activations = peak / (8 * 16 * 16 * 128 * 4)
+    assert activations <= 7.5, f"peak of {activations:.2f} activations"
 
 
 def test_infer_twice_identical(rng):
@@ -135,7 +153,7 @@ def _oracle_forward(net, x, mode):
         else:
             mean, var = s.running_mean, s.running_var
         b = s.gamma * (g - mean) / np.sqrt(var + s.epsilon) + s.beta
-        t = b + t if cfg.residual else b
+        t = b
     pooled = t.mean(axis=(1, 2))
     logits = pooled @ net.params["head.weights"] + net.params["head.bias"]
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -179,13 +197,13 @@ def test_train_caches_share_block_input_and_hold_no_padded_copy(rng):
     net = sm.build(cfg, seed=0)
     _, caches = sm.forward(net, rng.random((5, 16, 16, 3), dtype=np.float32), "train")
     for block in caches.blocks:
-        dw3, dw5 = block["dw"]
+        dw3, dw5 = block.dw
         x = dw3.saved["x"]
         assert dw5.saved["x"] is x
         for cache in (dw3, dw5):
             arrays = [v for v in cache.saved.values() if isinstance(v, np.ndarray)]
             assert all(a is x or a is cache.saved["weights"] for a in arrays)
-        gelu = block["gelu"].saved
+        gelu = block.gelu.saved
         assert list(gelu) == ["d"] and gelu["d"].dtype == np.float32
 
 
@@ -212,16 +230,17 @@ def test_full_model_gradient_check():
         assert max_rel_err(dinput, numeric_dx) < 1e-4, f"seed {seed}, input"
 
 
-def test_residual_variant_gradient_check():
+def test_depth_two_gradient_check():
+    """Every TINY has one block; this one passes gradients from block to block."""
     cfg = sm.ModelConfig(input_h=4, input_w=4, input_c=1, patch=2, embed_dim=2,
-                         depth=2, kernels=(3,), num_classes=2, residual=True)
+                         depth=2, kernels=(3, 5), num_classes=2)
     labels = np.array([1, 0])
     rng = np.random.Generator(np.random.PCG64(9))
     net = sm.build(cfg, seed=9, dtype=np.float64)
     x = rng.standard_normal((2, 4, 4, 1))
     probs, caches = sm.forward(net, x, "train")
     _, dlogits = tr.cross_entropy_with_logit_grad(probs, labels)
-    grads, _ = sm.backward(net, caches, dlogits)
+    grads, dinput = sm.backward(net, caches, dlogits)
 
     def loss_fn(_):
         p, _ = sm.forward(net, x, "train")
@@ -229,6 +248,7 @@ def test_residual_variant_gradient_check():
 
     for name, param in net.params.items():
         assert max_rel_err(grads[name], finite_diff_grad(loss_fn, param, 1e-5)) < 1e-4, name
+    assert max_rel_err(dinput, finite_diff_grad(loss_fn, x, 1e-5)) < 1e-4, "input"
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +336,19 @@ def test_config_text_round_trip():
     cfg = sm.ModelConfig.eurosat_default()
     parsed, extras = sm.parse_config_text(sm.config_to_text(cfg))
     assert parsed == cfg and extras == {}
+
+
+@pytest.mark.parametrize("line", ["merge=avg", "residual=true", "residual=yes"])
+def test_config_text_rejects_fixed_key_values(line):
+    key, _, value = line.partition("=")
+    text = sm.config_to_text(TINY).replace({"merge": "merge=sum", "residual": "residual=false"}[key], line)
+    with pytest.raises(ValueError, match=rf"invalid model config: {key} .*got '{value}'"):
+        sm.parse_config_text(text)
+
+
+def test_config_text_accepts_residual_false_in_any_case():
+    parsed, _ = sm.parse_config_text(sm.config_to_text(TINY).replace("residual=false", "residual=False"))
+    assert parsed == TINY
 
 
 def test_config_text_rejects_unknown_key():
@@ -417,6 +450,14 @@ def test_checkpoint_infinite_bn_eps_rejected(tmp_path):
     path, blob = _saved_blob(tmp_path)
     path.write_bytes(_replace_config(blob, b"bn_eps=0.001", b"bn_eps=inf"))
     with pytest.raises(sm.CheckpointError, match=r"bn_eps must be finite and > 0, got inf"):
+        sm.load(path)
+
+
+def test_checkpoint_residual_true_rejected(tmp_path):
+    # the mixer block has no skip connection, so a checkpoint asking for one cannot be honoured
+    path, blob = _saved_blob(tmp_path)
+    path.write_bytes(_replace_config(blob, b"residual=false", b"residual=true"))
+    with pytest.raises(sm.CheckpointError, match=r"residual must be 'false', got 'true'"):
         sm.load(path)
 
 

@@ -40,7 +40,6 @@ def model_configs(draw):
         num_classes=draw(st.integers(2, 100)),
         bn_eps=draw(st.floats(min_value=0, exclude_min=True, allow_infinity=False)),
         bn_momentum=draw(st.floats(min_value=0, max_value=1, exclude_min=True, exclude_max=True)),
-        residual=draw(st.booleans()),
     )
 
 
