@@ -163,9 +163,28 @@ def patch_embed_backward(cache: LayerCache, upstream: Tensor):
 # depthwise convolution, same padding, one kxk filter per channel
 
 def _windows(x: Tensor, k: int) -> Tensor:
-    """Read-only (n, y, x, c, k, k) view of the k x k windows of x, zero-padded to same size."""
+    """Read-only (n, y, x, c, k, k) view of the k x k windows of x, zero-padded to same size.
+
+    Only the weight gradient uses it; the forward and dx use `_row_taps`.
+    """
     pad = k // 2
     return sliding_window_view(np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))), (k, k), axis=(1, 2))
+
+
+def _row_taps(x: Tensor, w: Tensor) -> Tensor:
+    """Same-padded depthwise correlation of x with the (k, k, c) bank w, without bias.
+
+    Each tap (i, j) reads a whole padded row of w*c floats, so einsum's inner
+    loop runs over x and c at once instead of over c alone.
+    """
+    n, h, ww, c = x.shape
+    k = w.shape[0]
+    pad = k // 2
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))).reshape(n, h + 2 * pad, (ww + 2 * pad) * c)
+    # (n, y, j, i, w*c): tap (i, j) of output row y, every x and channel at once
+    rows = sliding_window_view(xp, (k, ww * c), axis=(1, 2))[:, :, ::c]
+    wz = np.tile(w, (1, 1, ww))
+    return np.einsum("nyjiz,ijz->nyz", rows, wz).reshape(n, h, ww, c)
 
 
 def depthwise_conv_forward(x: Tensor, p: ConvParams):
@@ -180,7 +199,7 @@ def depthwise_conv_forward(x: Tensor, p: ConvParams):
         raise ShapeError(f"depthwise bias shape {p.bias.shape} != ({c},)")
     # einsum without `optimize` makes no BLAS call, so the summation order
     # depends neither on the thread count nor on the batch size
-    out = np.einsum("nyxcij,ijc->nyxc", _windows(x, k), w).astype(x.dtype, copy=False)
+    out = _row_taps(x, w).astype(x.dtype, copy=False)
     out += p.bias
     _record("depthwise_conv", n * h * ww * c * k * k)
     # x itself, not a padded copy: parallel branches over one input share it
@@ -196,7 +215,7 @@ def depthwise_conv_backward(cache: LayerCache, upstream: Tensor):
     dw = np.einsum("nyxcij,nyxc->ijc", _windows(x, k), upstream).astype(w.dtype, copy=False)
     db = upstream.sum(axis=(0, 1, 2))
     # the adjoint of a same-padded correlation is the correlation with the flipped kernel
-    dx = np.einsum("nyxcij,ijc->nyxc", _windows(upstream, k), w[::-1, ::-1])
+    dx = _row_taps(upstream, w[::-1, ::-1])
     return dx.astype(x.dtype, copy=False), dw, db
 
 

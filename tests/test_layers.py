@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import ndtr
 
 from scenemixer import layers
@@ -132,6 +133,47 @@ def test_depthwise_mixed_dtypes_keep_input_dtypes(rng, x_dtype, w_dtype):
     dx, dw, db = layers.depthwise_conv_backward(cache, upstream)
     assert out.dtype == dx.dtype == x_dtype
     assert dw.dtype == w_dtype and db.dtype == upstream.dtype
+
+
+def _window_contraction(x, w):
+    """Reference: one einsum over the 6-D (n, y, x, c, k, k) window view of the padded input."""
+    pad = w.shape[0] // 2
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    return np.einsum("nyxcij,ijc->nyxc", sliding_window_view(xp, w.shape[:2], axis=(1, 2)), w)
+
+
+_DTYPE_PAIRS = [(np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64), (np.float64, np.float32)]
+
+
+@pytest.mark.parametrize("x_dtype, w_dtype", _DTYPE_PAIRS)
+@pytest.mark.parametrize("shape", [(1, 5, 7, 3), (3, 9, 4, 16), (2, 1, 1, 8), (0, 3, 4, 2)])
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+def test_depthwise_row_taps_match_window_contraction(rng, k, shape, x_dtype, w_dtype):
+    x = rng.standard_normal(shape).astype(x_dtype)
+    p = ConvParams(rng.standard_normal((k, k, shape[3])).astype(w_dtype), rng.standard_normal(shape[3]).astype(w_dtype))
+    out, cache = layers.depthwise_conv_forward(x, p)
+    want = _window_contraction(x, p.weights).astype(x_dtype)
+    want += p.bias
+    assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+    upstream = rng.standard_normal(shape).astype(x_dtype)
+    dx = layers.depthwise_conv_backward(cache, upstream)[0]
+    want_dx = _window_contraction(upstream, p.weights[::-1, ::-1]).astype(x_dtype)
+    assert dx.dtype == want_dx.dtype and dx.tobytes() == want_dx.tobytes()
+
+
+@pytest.mark.parametrize("x_dtype, w_dtype", _DTYPE_PAIRS)
+@pytest.mark.parametrize("k", [3, 5])
+def test_depthwise_forward_bytes_ignore_input_layout(rng, k, x_dtype, w_dtype):
+    # the row view reshapes the padded input, and np.pad keeps an F-ordered input F-ordered;
+    # a 6-D window einsum over this F-ordered float64 input with float32 weights summed in another order
+    x = rng.standard_normal((1, 5, 7, 3)).astype(x_dtype)
+    p = ConvParams(rng.standard_normal((k, k, 3)).astype(w_dtype), rng.standard_normal(3).astype(w_dtype))
+    want = layers.depthwise_conv_forward(np.ascontiguousarray(x), p)[0].tobytes()
+    f_ordered = np.asfortranarray(x)
+    channel_strided = np.repeat(x, 2, axis=3)[..., ::2]
+    assert f_ordered.flags.f_contiguous and not channel_strided.flags.c_contiguous
+    for layout in (f_ordered, channel_strided):
+        assert layers.depthwise_conv_forward(layout, p)[0].tobytes() == want
 
 
 def test_depthwise_rejects_even_kernel():
