@@ -137,11 +137,11 @@ def write_ppm(path, img: Tensor):
 # preprocessing
 
 def resize_bilinear(img: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Bilinear resize with half-pixel-centered sampling; identity when the
-    target equals the source size."""
+    """Bilinear resize of an (h, w, c) image with half-pixel-centered
+    sampling; identity when the target equals the source size."""
     if out_h < 1 or out_w < 1:
         raise ValueError(f"target size must be positive, got {out_h}x{out_w}")
-    h, w = img.shape[:2]
+    h, w, c = img.shape
     if (out_h, out_w) == (h, w):
         return img.copy()
     # source coordinate of each output pixel center
@@ -151,11 +151,20 @@ def resize_bilinear(img: Tensor, out_h: int, out_w: int) -> Tensor:
     x0 = np.clip(np.floor(xs), 0, w - 1).astype(np.int64)
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    fy = np.clip(ys - y0, 0.0, 1.0)[:, None, None]
-    fx = np.clip(xs - x0, 0.0, 1.0)[None, :, None]
-    top = img[y0][:, x0] * (1 - fx) + img[y0][:, x1] * fx
-    bot = img[y1][:, x0] * (1 - fx) + img[y1][:, x1] * fx
-    return (top * (1 - fy) + bot * fy).astype(img.dtype)
+    fy = np.clip(ys - y0, 0.0, 1.0)[:, None]
+    # rows flattened to x*c values, so every product runs along out_w*c
+    # elements instead of c; the x weights repeat once per channel
+    fx = np.repeat(np.clip(xs - x0, 0.0, 1.0), c)
+    cols0 = (x0[:, None] * c + np.arange(c)).ravel()
+    cols1 = (x1[:, None] * c + np.arange(c)).ravel()
+
+    def lerp_x(rows):
+        rows = rows.reshape(out_h, w * c)
+        return np.take(rows, cols0, axis=1) * (1 - fx) + np.take(rows, cols1, axis=1) * fx
+
+    top = lerp_x(np.take(img, y0, axis=0))
+    bot = lerp_x(np.take(img, y1, axis=0))
+    return (top * (1 - fy) + bot * fy).astype(img.dtype).reshape(out_h, out_w, c)
 
 
 def normalize(img: Tensor) -> Tensor:

@@ -3,7 +3,10 @@
 The graph is: patch embedding -> depth x mixer block -> global average
 pooling -> dense -> softmax. A mixer block runs one depthwise branch per
 configured kernel size on the same input, merges the branches by
-elementwise sum, then pointwise conv, GELU and batch normalization.
+elementwise sum, then pointwise conv, GELU and batch normalization. An
+infer-mode forward runs the graph up to the pooling over chunks of about
+1 MiB of block activation, so they stay in a core's L2 cache, and the head
+over the whole batch; a train-mode forward runs the whole batch at once.
 
 Checkpoints use a small binary container (magic "SMXC"): little-endian
 u32 version, u32-length-prefixed UTF-8 config block of key=value lines,
@@ -27,7 +30,9 @@ from .numerics import ShapeError, Tensor
 
 CHECKPOINT_MAGIC = b"SMXC"
 CHECKPOINT_VERSION = 1
-INFER_BATCH = 64  # images per infer-mode forward in `predict` and `train.evaluate`
+# bytes of one block activation per infer-mode chunk: the chunk's activations stay
+# in a core's L2 cache across the ~10 passes a block makes over them
+_INFER_CHUNK_BYTES = 1 << 20
 
 
 @dataclass
@@ -281,7 +286,15 @@ def _block_backward(model: SceneMixerModel, i: int, cache: BlockCache, dout: Ten
 
 
 def forward(model: SceneMixerModel, x: Tensor, mode: str):
-    """Run the network. Returns (probs, caches); caches is None in infer mode."""
+    """Run the network. Returns (probs, caches); caches is None in infer mode.
+
+    Infer mode runs patch embed, blocks and GAP over consecutive chunks of
+    the batch, each sized so that one block activation fits in
+    `_INFER_CHUNK_BYTES`, then the head once over every image's pooled
+    features; the result has the bytes of one unchunked pass.
+    Train mode runs the whole batch at once, because batch norm normalizes
+    with the statistics of the batch.
+    """
     cfg = model.config
     if x.ndim != 4 or x.shape[1:] != (cfg.input_h, cfg.input_w, cfg.input_c):
         raise ShapeError(
@@ -292,16 +305,34 @@ def forward(model: SceneMixerModel, x: Tensor, mode: str):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
     x = x.astype(model.dtype, copy=False)
 
-    t, embed_cache = layers.patch_embed_forward(x, model.conv("embed"))
-    block_caches = [None] * cfg.depth
-    for i in range(cfg.depth):
-        t, block_caches[i] = _block_forward(model, i, t, mode)
-    pooled, gap_cache = layers.global_avg_pool_forward(t)
+    if mode == "train":
+        pooled, (embed_cache, block_caches, gap_cache) = _pooled_forward(model, x, mode)
+    else:
+        activation = cfg.grid * (cfg.input_w // cfg.patch) * cfg.embed_dim * x.itemsize
+        chunk = max(1, _INFER_CHUNK_BYTES // activation)
+        pooled = np.empty((x.shape[0], cfg.embed_dim), model.dtype)
+        # the helper, not `forward` itself: a tracer that wraps `forward` would count each image twice
+        for start in range(0, x.shape[0], chunk):
+            pooled[start : start + chunk] = _pooled_forward(model, x[start : start + chunk], mode)[0]
+    # one head call for the batch: BLAS rounds a matmul's rows differently
+    # for some row counts (a single row goes through gemv), so per-chunk
+    # heads would not reproduce the unchunked bytes
     logits, dense_cache = layers.dense_forward(pooled, model.conv("head"))
     probs, _ = layers.softmax_forward(logits)
     if mode == "infer":
         return probs, None
     return probs, ForwardCaches(embed_cache, block_caches, gap_cache, dense_cache)
+
+
+def _pooled_forward(model: SceneMixerModel, x: Tensor, mode: str):
+    """Patch embed, blocks and GAP on x, already in the model's dtype:
+    (pooled features, (embed cache, block caches, GAP cache))."""
+    t, embed_cache = layers.patch_embed_forward(x, model.conv("embed"))
+    block_caches = [None] * model.config.depth
+    for i in range(model.config.depth):
+        t, block_caches[i] = _block_forward(model, i, t, mode)
+    pooled, gap_cache = layers.global_avg_pool_forward(t)
+    return pooled, (embed_cache, block_caches, gap_cache)
 
 
 def backward(model: SceneMixerModel, caches: ForwardCaches, dlogits: Tensor):
@@ -317,11 +348,8 @@ def backward(model: SceneMixerModel, caches: ForwardCaches, dlogits: Tensor):
 
 def predict(model: SceneMixerModel, x: Tensor) -> np.ndarray:
     """Infer-mode argmax labels; ties resolve to the lowest class index."""
-    labels = np.empty(x.shape[0], dtype=np.int64)
-    for start in range(0, x.shape[0], INFER_BATCH):
-        probs, _ = forward(model, x[start : start + INFER_BATCH], "infer")
-        labels[start : start + INFER_BATCH] = np.argmax(probs, axis=1)
-    return labels
+    probs, _ = forward(model, x, "infer")
+    return np.argmax(probs, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ accuracy after each one, multiplies the learning rate by `LR_FACTOR` (0.5)
 after `LR_PATIENCE` (10) epochs without strict improvement (never below
 `LR_MIN`, 5e-5), and finally restores the weights of the best validation
 epoch (earliest on ties). Adam's constants are fixed too: `ADAM_BETA1` 0.9,
-`ADAM_BETA2` 0.999 and `ADAM_EPS` 1e-7. Validation runs in batches of
-`model.INFER_BATCH`.
+`ADAM_BETA2` 0.999 and `ADAM_EPS` 1e-7. Validation is one infer-mode
+`model.forward` over the whole split, which bounds its own memory by
+running the network in chunks.
 """
 
 import math
@@ -44,6 +45,8 @@ def cross_entropy(probs: Tensor, labels) -> float:
     """Mean negative log-probability of the true class, clamped at 1e-12."""
     labels = np.asarray(labels)
     n, c = probs.shape
+    if n == 0:
+        raise ValueError("cross_entropy: empty batch")
     if labels.shape != (n,):
         raise ValueError(f"labels shape {labels.shape} != ({n},)")
     if labels.min() < 0 or labels.max() >= c:
@@ -170,16 +173,8 @@ def train_epoch(model, x: Tensor, y, adam_state: AdamState, lr: float, batch_siz
 
 def evaluate(model, x: Tensor, y):
     """Infer-mode mean loss and overall accuracy."""
-    n = x.shape[0]
-    total_loss = 0.0
-    correct = 0
-    step = model_mod.INFER_BATCH
-    for start in range(0, n, step):
-        xb, yb = x[start : start + step], y[start : start + step]
-        probs, _ = model_mod.forward(model, xb, "infer")
-        total_loss += cross_entropy(probs, yb) * len(yb)
-        correct += int(np.sum(np.argmax(probs, axis=1) == yb))
-    return total_loss / n, correct / n
+    probs, _ = model_mod.forward(model, x, "infer")
+    return cross_entropy(probs, y), int(np.sum(np.argmax(probs, axis=1) == y)) / x.shape[0]
 
 
 def fit(model, train_set, val_set, cfg: TrainConfig, log=None):

@@ -6,6 +6,7 @@ import sys
 
 import scenemixer
 from scenemixer import data as dm
+from scenemixer import model as sm
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
@@ -29,12 +30,17 @@ REQUIRED_SPANS = {
 }
 
 
-def test_traced_train_records_every_layer_span(tmp_path, capsys):
+def _spans_module():
     sys.path.insert(0, str(BENCH))
     try:
         import spans
     finally:
         sys.path.remove(str(BENCH))
+    return spans
+
+
+def test_traced_train_records_every_layer_span(tmp_path, capsys):
+    spans = _spans_module()
     dm.write_dataset(dm.synth_generate(3, 8, side=16, seed=2), tmp_path / "data")
     (tmp_path / "tiny.cfg").write_text(CONFIG_TEXT)
     tracer = spans.Tracer()
@@ -53,3 +59,32 @@ def test_traced_train_records_every_layer_span(tmp_path, capsys):
     for name, _, _, parent, *_ in tracer.spans:
         if name.startswith("layers.depthwise_conv.") and name.endswith(".fwd"):
             assert parent < 0 or not tracer.spans[parent][0].endswith(".bwd"), tracer.spans[parent][0]
+
+
+def test_traced_eval_makes_one_forward_span_per_predict(tmp_path, capsys):
+    """The benchmark counts eval's images from its `model.forward` spans, so
+    the infer chunk loop must not call the public forward once per chunk."""
+    spans = _spans_module()
+    manifest = dm.synth_generate(3, 8, side=16, seed=2)
+    dm.write_dataset(manifest, tmp_path / "data")
+    # a 16x16x128 grid is 128 KiB of float32 per image, so a chunk holds 8 images
+    config, _ = sm.parse_config_text(CONFIG_TEXT.replace("patch=4", "patch=1").replace("embed_dim=8", "embed_dim=128"))
+    net = sm.build(config, seed=0)
+    net.class_names = manifest.class_names
+    sm.save(net, tmp_path / "m.smxc")
+    tracer = spans.Tracer()
+    tracer.install(spans.command_targets(scenemixer))
+    try:
+        rc = scenemixer.cli.main(["eval", "--model", str(tmp_path / "m.smxc"), "--data", str(tmp_path / "data"),
+                                  "--split", "train", "--seed", "1", "--confusion", str(tmp_path / "cm.csv")])
+    finally:
+        tracer.uninstall()
+    assert rc == 0, capsys.readouterr().err
+    forwards = [s for s in tracer.spans if s[0] == "model.forward"]
+    assert len(forwards) == 1  # eval runs one predict
+    parent = forwards[0][3]
+    assert parent < 0 or tracer.spans[parent][0] != "model.forward"
+    scored = sum(int(v) for row in (tmp_path / "cm.csv").read_text().splitlines()[1:] for v in row.split(",")[1:])
+    assert forwards[0][5] == scored
+    embeds = [s for s in tracer.spans if s[0] == "layers.patch_embed.fwd"]
+    assert len(embeds) == -(-scored // 8), "the forward ran in chunks"

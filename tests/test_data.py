@@ -98,6 +98,36 @@ def test_resize_random_against_reference(rng):
         assert np.max(np.abs(got - want)) < 1e-10
 
 
+def _broadcast_bilinear(img, out_h, out_w):
+    """The earlier whole-array formula: the same float64 expressions, with
+    weights broadcast against the channel axis."""
+    h, w = img.shape[:2]
+    ys = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
+    xs = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
+    y0 = np.clip(np.floor(ys), 0, h - 1).astype(np.int64)
+    x0 = np.clip(np.floor(xs), 0, w - 1).astype(np.int64)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    fy = np.clip(ys - y0, 0.0, 1.0)[:, None, None]
+    fx = np.clip(xs - x0, 0.0, 1.0)[None, :, None]
+    top = img[y0][:, x0] * (1 - fx) + img[y0][:, x1] * fx
+    bot = img[y1][:, x0] * (1 - fx) + img[y1][:, x1] * fx
+    return (top * (1 - fy) + bot * fy).astype(img.dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_resize_is_byte_identical_to_broadcast_formula(rng, dtype):
+    crop = rng.random((300, 280, 3)).astype(dtype)[10:200:2, 5:260:3]  # not contiguous
+    cases = [(rng.random((256, 256, 3)).astype(dtype), 64, 64), (rng.random((5, 7, 3)).astype(dtype), 20, 13),
+             (rng.random((9, 13, 3)).astype(dtype), 30, 3), (rng.random((64, 64, 3)).astype(dtype), 1, 1),
+             (rng.random((1, 1, 3)).astype(dtype), 4, 4), (rng.random((6, 9, 2)).astype(dtype), 12, 5),
+             (crop, 64, 64)]
+    for img, oh, ow in cases:
+        got, want = dm.resize_bilinear(img, oh, ow), _broadcast_bilinear(img, oh, ow)
+        assert got.dtype == want.dtype and got.shape == want.shape, (img.shape, oh, ow)
+        assert got.tobytes() == want.tobytes(), (img.shape, oh, ow)
+
+
 def test_resize_rejects_bad_target():
     with pytest.raises(ValueError):
         dm.resize_bilinear(np.zeros((4, 4, 3)), 0, 4)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from scenemixer import analyzer
+from scenemixer import analyzer, layers
 from scenemixer import model as sm
 from scenemixer import train as tr
 from scenemixer.numerics import ShapeError, finite_diff_grad
@@ -75,18 +75,61 @@ def test_forward_rejects_wrong_shape(rng):
 def test_infer_forward_frees_each_block_before_the_next(rng):
     # an activation is one (8, 16, 16, 128) float32 array; a forward that frees
     # each block's intermediates before the next block peaks at about 6.4 of
-    # them, one that keeps them alive into the next block at about 8.65
+    # them, one that keeps them alive into the next block at about 8.65. At 64
+    # images only chunking keeps the peak there: one 64-image pass reads 51
     net = sm.build(sm.ModelConfig.eurosat_default(), seed=0)
-    x = rng.random((8, 64, 64, 3), dtype=np.float32)
-    sm.forward(net, x, "infer")  # the first call also allocates numpy's one-time state
-    tracemalloc.start()
-    try:
+    for n in (8, 64):
+        x = rng.random((n, 64, 64, 3), dtype=np.float32)
+        sm.forward(net, x, "infer")  # the first call also allocates numpy's one-time state
+        tracemalloc.start()
+        try:
+            sm.forward(net, x, "infer")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        activations = peak / (8 * 16 * 16 * 128 * 4)
+        assert activations <= 7.5, f"{n} images: peak of {activations:.2f} activations"
+
+
+@pytest.mark.parametrize("dtype, per_chunk", [(np.float32, 8), (np.float64, 4)])
+def test_chunked_infer_forward_matches_one_pass(rng, monkeypatch, dtype, per_chunk):
+    """Chunks of 1 MiB of block activation give the bytes of one pass over
+    the batch, including a last chunk of one image."""
+    net = sm.build(sm.ModelConfig.eurosat_default(), seed=0, dtype=dtype)
+    x = rng.random((20, 64, 64, 3)).astype(dtype)
+    embeds = []
+    real_embed = layers.patch_embed_forward
+
+    def embed(xb, p):
+        embeds.append(len(xb))
+        return real_embed(xb, p)
+
+    monkeypatch.setattr(layers, "patch_embed_forward", embed)
+    for n in (7, 8, 9, 20):
+        embeds.clear()
+        chunked, _ = sm.forward(net, x[:n], "infer")
+        assert embeds == [min(per_chunk, n - s) for s in range(0, n, per_chunk)], n
+        with monkeypatch.context() as m:
+            m.setattr(sm, "_INFER_CHUNK_BYTES", 1 << 40)
+            one_pass, _ = sm.forward(net, x[:n], "infer")
+        assert chunked.dtype == dtype and chunked.tobytes() == one_pass.tobytes(), n
+
+
+def test_chunked_infer_counts_each_image_once(rng):
+    cfg = sm.ModelConfig.eurosat_default()
+    net = sm.build(cfg, seed=0)
+    x = rng.random((20, 64, 64, 3), dtype=np.float32)
+    with layers.count_multiplies() as counter:
         sm.forward(net, x, "infer")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    activations = peak / (8 * 16 * 16 * 128 * 4)
-    assert activations <= 7.5, f"peak of {activations:.2f} activations"
+    assert counter.total == 20 * analyzer.cost_report(cfg).total_macs
+
+
+def test_zero_images_give_empty_probs_and_labels():
+    net = sm.build(TINY, seed=0)
+    x = np.zeros((0, 4, 4, 1), np.float32)
+    probs, caches = sm.forward(net, x, "infer")
+    assert probs.shape == (0, 2) and caches is None
+    assert sm.predict(net, x).shape == (0,)
 
 
 def test_infer_twice_identical(rng):

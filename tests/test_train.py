@@ -39,6 +39,17 @@ def test_ce_rejects_bad_labels():
         tr.cross_entropy(probs, [-1, 0])
 
 
+def test_ce_rejects_empty_batch():
+    with pytest.raises(ValueError, match="empty batch"):
+        tr.cross_entropy(np.zeros((0, 3)), [])
+
+
+def test_evaluate_rejects_empty_split():
+    net = sm.build(TINY, seed=0)
+    with pytest.raises(ValueError, match="empty batch"):
+        tr.evaluate(net, np.zeros((0, 4, 4, 1), np.float32), np.zeros(0, np.int64))
+
+
 def test_ce_logit_grad_matches_finite_differences(rng):
     from scenemixer import layers
 
