@@ -41,7 +41,7 @@ class CostReport:
 def _layer_costs(config: ModelConfig, trainable_only: bool) -> list:
     config.validate()
     p, d, c_in, c_out = config.patch, config.embed_dim, config.input_c, config.num_classes
-    g2 = config.grid * (config.input_w // config.patch)
+    g2 = config.tokens
     entries = []
 
     def conv(name, params, macs, out_elems):

@@ -432,7 +432,10 @@ def dense_forward(x: Tensor, p: ConvParams):
     k = p.weights.shape[1]
     if p.bias.shape != (k,):
         raise ShapeError(f"dense bias shape {p.bias.shape} != ({k},)")
-    out = x @ p.weights + p.bias
+    # einsum without `optimize` makes no BLAS call, so a row's logits do not
+    # depend on how many rows come with it
+    out = np.einsum("nd,dk->nk", x, p.weights)
+    out += p.bias
     _record("dense", x.shape[0] * x.shape[1] * k)
     return out, LayerCache("dense", out.shape, {"x": x, "weights": p.weights})
 

@@ -507,6 +507,17 @@ def test_dense_matches_loops(rng):
             assert abs(out[i, j] - acc) < 1e-12
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dense_rows_do_not_depend_on_row_count(rng, dtype):
+    # BLAS takes a 1-row product through gemv and rounds some row counts of
+    # a gemm differently; an image's logits must not depend on its batch
+    x = rng.standard_normal((200, 128)).astype(dtype)
+    p = ConvParams(rng.standard_normal((128, 10)).astype(dtype), rng.standard_normal(10).astype(dtype))
+    full = layers.dense_forward(x, p)[0]
+    for n in range(1, 200):
+        assert layers.dense_forward(x[:n], p)[0].tobytes() == full[:n].tobytes(), n
+
+
 def test_dense_rejects_mismatch():
     with pytest.raises(ShapeError):
         layers.dense_forward(np.zeros((2, 3)), _params(np.zeros((4, 2))))[0]
