@@ -157,8 +157,7 @@ def _cmd_predict(args):
     from . import model as model_mod
 
     net = model_mod.load(args.model)
-    img = data_mod.normalize(data_mod.read_ppm(args.image))
-    img = data_mod.resize_bilinear(img, net.config.input_h, net.config.input_w)
+    img = data_mod.load_image(args.image, net.config.input_h, net.config.input_w)
     label = int(model_mod.predict(net, img[None, :, :, :])[0])
     names = net.class_names or [f"class_{i}" for i in range(net.config.num_classes)]
     print(names[label])

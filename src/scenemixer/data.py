@@ -2,9 +2,10 @@
 procedural texture generator for desk-scale experiments.
 
 On-disk datasets are trees of binary PPM images, one folder per class
-(`root/<class_name>/<image>.ppm`). Pixel values flow as float32: decode
-yields [0,255], `normalize` maps into [0,1]. Synthetic datasets live in
-memory and are already normalized; each synthetic image draws its
+(`root/<class_name>/<image>.ppm`); `load_image` turns one into a model
+input: decode yields uint8 pixels, `normalize` maps them to float32 in
+[0,1], `resize_bilinear` fits the model's size. Synthetic datasets live
+in memory and are already normalized; each synthetic image draws its
 pattern's period, phase or placement and then its pixel noise (sigma
 `SYNTH_NOISE_SIGMA`, 10/255) from a stream seeded by (seed, class, index).
 """
@@ -89,7 +90,7 @@ def _read_header_token(blob: bytes, pos: int):
 
 
 def decode_ppm(blob: bytes) -> Tensor:
-    """Binary PPM bytes -> (h, w, 3) float32 array of raw byte values."""
+    """Binary PPM bytes -> (h, w, 3) uint8 pixels, a read-only view of blob."""
     magic, pos = _read_header_token(blob, 0)
     if magic != b"P6":
         raise PpmError(f"unsupported PPM format {magic!r}: only binary P6 is handled")
@@ -98,6 +99,8 @@ def decode_ppm(blob: bytes) -> Tensor:
         tok, pos = _read_header_token(blob, pos)
         if not tok.isdigit():
             raise PpmError(f"bad PPM header field {tok!r}")
+        if len(tok) > 18:  # int() refuses or crawls on long digit runs; no payload this large fits in memory
+            raise PpmError(f"PPM header field of {len(tok)} digits is too large")
         fields.append(int(tok))
     w, h, maxval = fields
     if maxval != 255:
@@ -108,7 +111,7 @@ def decode_ppm(blob: bytes) -> Tensor:
     payload = blob[pos : pos + h * w * 3]
     if len(payload) != h * w * 3:
         raise PpmError(f"truncated PPM payload: expected {h * w * 3} bytes, got {len(payload)}")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3).astype(np.float32)
+    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3)
 
 
 def encode_ppm(img: Tensor) -> bytes:
@@ -168,8 +171,15 @@ def resize_bilinear(img: Tensor, out_h: int, out_w: int) -> Tensor:
 
 
 def normalize(img: Tensor) -> Tensor:
-    """Map [0,255] pixel values into [0,1]."""
-    return (img / np.float32(255.0)).astype(np.float32, copy=False)
+    """Map [0,255] pixel values, such as decoded uint8 pixels, to a new float32 array in [0,1]."""
+    out = img.astype(np.float32)
+    out /= np.float32(255.0)
+    return out
+
+
+def load_image(path, out_h: int, out_w: int) -> Tensor:
+    """One PPM file as an (out_h, out_w, 3) float32 model input in [0,1]."""
+    return resize_bilinear(normalize(read_ppm(path)), out_h, out_w)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +188,17 @@ def normalize(img: Tensor) -> Tensor:
 def _breaks_line(name: str) -> bool:
     """True if str.splitlines, which reads manifests and configs, would split name."""
     return name.splitlines() != [name]
+
+
+def check_class_name(name: str, what: str):
+    """Raise ValueError, naming `what`, unless name can be a class name.
+
+    Class names are stored comma-separated in key=value checkpoint lines,
+    whose reader strips outer whitespace, and in the comma-separated split
+    manifest.
+    """
+    if "," in name or "=" in name or _breaks_line(name) or name != name.strip():
+        raise ValueError(f"{what}: name must not contain ',', '=' or a line break, nor begin or end with whitespace")
 
 
 def load_dataset(root) -> DatasetManifest:
@@ -191,14 +212,7 @@ def load_dataset(root) -> DatasetManifest:
     manifest = DatasetManifest(class_names)
     for idx, name in enumerate(class_names):
         folder = os.path.join(root, name)
-        if "," in name or "=" in name or _breaks_line(name) or name != name.strip():
-            # class names are stored comma-separated in key=value checkpoint
-            # lines, whose reader strips outer whitespace, and in the
-            # comma-separated split manifest
-            raise ValueError(
-                f"class folder {folder!r}: name must not contain ',', '=' or a line break,"
-                " nor begin or end with whitespace"
-            )
+        check_class_name(name, f"class folder {folder!r}")
         files = sorted(f for f in os.listdir(folder) if f.lower().endswith(".ppm"))
         if not files:
             raise ValueError(f"class folder {folder} contains no .ppm images")
@@ -213,21 +227,13 @@ def load_dataset(root) -> DatasetManifest:
     return manifest
 
 
-def _materialize(sample: SampleRecord, out_h: int, out_w: int) -> Tensor:
-    if sample.image is not None:
-        img = sample.image
-    else:
-        img = normalize(read_ppm(sample.path))
-    # already a float32 copy: images are float32 and resize keeps the dtype
-    return resize_bilinear(img, out_h, out_w)
-
-
 def split_arrays(manifest: DatasetManifest, split: str, out_h: int, out_w: int):
     """Materialize one split as (images (n,h,w,3) float32 in [0,1], labels)."""
     records = manifest.of_split(split)
     if not records:
         raise ValueError(f"split {split!r} has no samples (was stratified_split run?)")
-    x = np.stack([_materialize(s, out_h, out_w) for s in records])
+    x = np.stack([load_image(s.path, out_h, out_w) if s.image is None else resize_bilinear(s.image, out_h, out_w)
+                  for s in records])
     y = np.array([s.class_index for s in records], dtype=np.int64)
     return x, y
 

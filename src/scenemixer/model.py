@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import layers
+from .data import check_class_name
 from .fileio import write_atomic
 from .layers import BatchNormState, ConvParams, LayerCache
 from .numerics import ShapeError, Tensor
@@ -357,7 +358,16 @@ class CheckpointError(ValueError):
 
 
 def save(model: SceneMixerModel, path):
-    """Write the checkpoint atomically: a failed save leaves any earlier file at `path` intact."""
+    """Write the checkpoint atomically: a failed save leaves any earlier file at `path` intact.
+
+    Raises ValueError, before writing, on class names that `load` would
+    read back differently or reject.
+    """
+    if model.class_names:
+        if len(model.class_names) != model.config.num_classes:
+            raise ValueError(f"{len(model.class_names)} class names for {model.config.num_classes} classes")
+        for name in model.class_names:
+            check_class_name(name, f"class name {name!r}")
     write_atomic(path, _checkpoint_chunks(model))
 
 

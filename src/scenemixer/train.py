@@ -193,7 +193,6 @@ def fit(model, train_set, val_set, cfg: TrainConfig, log=None):
     sched = PlateauScheduler(cfg.lr_init)
     history = TrainHistory()
     best_snapshot = None
-    best_val_oa = -math.inf
     for epoch in range(1, cfg.epochs + 1):
         lr = sched.current_lr
         try:
@@ -208,8 +207,7 @@ def fit(model, train_set, val_set, cfg: TrainConfig, log=None):
         except FloatingPointError as exc:
             raise FloatingPointError(f"epoch {epoch}, validation: {exc}") from exc
         history.records.append(EpochRecord(epoch, train_loss, train_oa, val_loss, val_oa, lr))
-        if val_oa > best_val_oa:
-            best_val_oa = val_oa
+        if val_oa > sched.best_metric:  # before update, which moves best_metric
             best_snapshot = model.snapshot()
             history.best_epoch = epoch
         sched.update(val_oa)

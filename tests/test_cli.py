@@ -305,6 +305,15 @@ def test_every_command_runs_without_scipy(tmp_path, tiny_config):
     assert model.exists()
 
 
+def test_cli_import_and_parser_leave_numpy_unimported():
+    # --threads sets the BLAS thread variables after parsing, which works
+    # only while numpy, and so BLAS, is not yet loaded
+    code = "import sys\nfrom scenemixer import cli\ncli.build_parser()\nprint('numpy' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_duplicate_manifest_path_is_runtime_error(tmp_path, tiny_dataset, tiny_config, capsys):
     manifest = tmp_path / "split.csv"
     assert run_inproc(["split", "--data", str(tiny_dataset), "--out", str(manifest)]) == 0
@@ -321,16 +330,16 @@ def test_duplicate_manifest_path_is_runtime_error(tmp_path, tiny_dataset, tiny_c
 
 def test_nan_pixel_abort_names_epoch_and_batch(tmp_path, tiny_dataset, tiny_config, monkeypatch, capsys):
     poisoned = []
-    real_read = dm.read_ppm
+    real_normalize = dm.normalize
 
-    def read_ppm(path):
-        img = real_read(path)
-        if not poisoned:  # the first image read: training images are read first
-            poisoned.append(path)
+    def normalize(img):
+        img = real_normalize(img)
+        if not poisoned:  # the first image loaded: training images are loaded first
+            poisoned.append(img.shape)
             img[3, 4, 1] = np.nan
         return img
 
-    monkeypatch.setattr(dm, "read_ppm", read_ppm)
+    monkeypatch.setattr(dm, "normalize", normalize)
     args = ["train", "--data", str(tiny_dataset), "--config", str(tiny_config), "--epochs", "2",
             "--batch", "4", "--out", str(tmp_path / "m.smxc"), "--quiet"]
     assert run_inproc(args) == 2

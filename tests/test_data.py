@@ -14,7 +14,7 @@ def test_decode_ppm_small():
     blob = b"P6\n2 2\n255\n" + payload
     img = dm.decode_ppm(blob)
     assert img.shape == (2, 2, 3)
-    assert img.dtype == np.float32
+    assert img.dtype == np.uint8
     assert img.reshape(-1).tolist() == list(range(12))
 
 
@@ -31,6 +31,13 @@ def test_decode_ppm_rejects_ascii_variant():
 def test_decode_ppm_rejects_maxval():
     with pytest.raises(dm.PpmError, match="maxval"):
         dm.decode_ppm(b"P6\n1 1\n65535\n\x01\x02\x03")
+
+
+@pytest.mark.parametrize("blob", [b"P6\n" + b"9" * 5000 + b" 1\n255\n", b"P6\n1 1\n" + b"0" * 19 + b"255\n\0\0\0"],
+                         ids=["width", "zero-padded-maxval"])
+def test_decode_ppm_rejects_over_long_header_fields(blob):
+    with pytest.raises(dm.PpmError, match="digits is too large"):
+        dm.decode_ppm(blob)
 
 
 def test_decode_ppm_rejects_truncation():
@@ -139,6 +146,18 @@ def test_normalize_endpoints():
     assert out[0, 0, 0] == 0.0
     assert abs(out[0, 0, 1] - 127.0 / 255.0) < 1e-6
     assert out[0, 0, 2] == 1.0
+
+
+@pytest.mark.parametrize("side", [256, 64, 37])
+def test_load_image_is_decode_then_normalize_then_resize(tmp_path, rng, side):
+    blob = dm.encode_ppm(rng.random((side, side, 3)))
+    path = tmp_path / "img.ppm"
+    path.write_bytes(blob)
+    # the arithmetic of the float32 decode this loader replaced, written out
+    want = dm.resize_bilinear(dm.decode_ppm(blob).astype(np.float32) / np.float32(255), 64, 64)
+    got = dm.load_image(path, 64, 64)
+    assert got.dtype == np.float32 and got.shape == (64, 64, 3)
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -429,12 +429,26 @@ def test_checkpoint_forged_extents_rejected(tmp_path, extents):
 
 
 def test_checkpoint_class_name_count_must_match(tmp_path):
-    net = sm.build(TINY, seed=4)
-    net.class_names = ["a,b", "c"]  # saved as class_names=a,b,c: three names, two classes
-    path = tmp_path / "tiny.smxc"
-    sm.save(net, path)
+    path, blob = _saved_blob(tmp_path)
+    path.write_bytes(_replace_config(blob, b"class_names=water,forest", b"class_names=a,b,c"))
     with pytest.raises(sm.CheckpointError, match="3 class names for 2 classes"):
         sm.load(path)
+
+
+@pytest.mark.parametrize("names, match", [
+    ([" a", "b "], "class name ' a': name must not"),  # would load back as ["a", "b"]
+    (["a,b", "c"], "class name 'a,b': name must not"),
+    (["a\nb", "c"], r"class name 'a\\nb': name must not"),
+    (["a=b", "c"], "class name 'a=b': name must not"),
+    (["a", "b", "c"], "3 class names for 2 classes"),
+], ids=["outer-space", "comma", "newline", "equals", "count"])
+def test_save_rejects_class_names_load_would_not_return(tmp_path, names, match):
+    path, blob = _saved_blob(tmp_path)
+    net = sm.build(TINY, seed=5)
+    net.class_names = names
+    with pytest.raises(ValueError, match=match):
+        sm.save(net, path)
+    assert path.read_bytes() == blob
 
 
 def _saved_blob(tmp_path):

@@ -77,7 +77,7 @@ def mutations(draw, seq, alphabet):
 @given(ppm_images())
 def test_ppm_round_trip_is_exact_on_byte_valued_images(raw):
     decoded = dm.decode_ppm(dm.encode_ppm(raw.astype(np.float32) / np.float32(255.0)))
-    assert decoded.dtype == np.float32
+    assert decoded.dtype == np.uint8
     assert np.array_equal(decoded, raw)
 
 
@@ -126,7 +126,7 @@ def test_mutated_ppm_decodes_or_raises_ppm_error(data):
         img = dm.decode_ppm(mutant)
     except dm.PpmError:
         return
-    assert img.dtype == np.float32 and img.ndim == 3 and img.shape[2] == 3 and img.size > 0
+    assert img.dtype == np.uint8 and img.ndim == 3 and img.shape[2] == 3 and img.size > 0
     assert 0 <= img.min() and img.max() <= 255
 
 
