@@ -54,10 +54,15 @@ def _resolve_model_config(spec: str):
     return config
 
 
-def _load_split_dataset(data_root, manifest_path, seed):
+def _load_split_dataset(data_root, manifest_path, seed, num_classes, class_names=None):
+    """The dataset at data_root, split by the manifest or else by seed. Raises
+    ValueError unless it has num_classes class folders, named class_names in order if given."""
     from . import data as data_mod
 
     manifest = data_mod.load_dataset(data_root)
+    if manifest.num_classes != num_classes or class_names and manifest.class_names != class_names:
+        raise ValueError(f"dataset class folders {manifest.class_names} do not match the model's "
+                         f"{class_names or num_classes} classes")
     if manifest_path:
         with open(manifest_path, "r", encoding="utf-8") as fh:
             data_mod.apply_split_csv(manifest, fh.read())
@@ -104,11 +109,7 @@ def _cmd_train(args):
     from . import train as train_mod
 
     config = _resolve_model_config(args.config)
-    manifest = _load_split_dataset(args.data, args.manifest, args.seed)
-    if manifest.num_classes != config.num_classes:
-        raise ValueError(
-            f"dataset has {manifest.num_classes} classes but config expects {config.num_classes}"
-        )
+    manifest = _load_split_dataset(args.data, args.manifest, args.seed, config.num_classes)
     train_xy = data_mod.split_arrays(manifest, "train", config.input_h, config.input_w)
     val_xy = data_mod.split_arrays(manifest, "val", config.input_h, config.input_w)
     net = model_mod.build(config, seed=args.seed)
@@ -132,11 +133,7 @@ def _cmd_eval(args):
     from . import model as model_mod
 
     net = model_mod.load(args.model)
-    manifest = _load_split_dataset(args.data, args.manifest, args.seed)
-    if manifest.num_classes != net.config.num_classes:
-        raise ValueError(
-            f"dataset has {manifest.num_classes} classes but model expects {net.config.num_classes}"
-        )
+    manifest = _load_split_dataset(args.data, args.manifest, args.seed, net.config.num_classes, net.class_names)
     x, y = data_mod.split_arrays(manifest, args.split, net.config.input_h, net.config.input_w)
     pred = model_mod.predict(net, x)
     cm = metrics_mod.confusion(y, pred, manifest.num_classes, class_names=manifest.class_names)
@@ -225,6 +222,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _apply_threads(args.threads)
+        if getattr(args, "seed", 0) < 0:
+            raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -195,10 +195,11 @@ def check_class_name(name: str, what: str):
 
     Class names are stored comma-separated in key=value checkpoint lines,
     whose reader strips outer whitespace, and in the comma-separated split
-    manifest.
+    manifest. An empty name is refused too: `_breaks_line("")` is true.
     """
     if "," in name or "=" in name or _breaks_line(name) or name != name.strip():
-        raise ValueError(f"{what}: name must not contain ',', '=' or a line break, nor begin or end with whitespace")
+        raise ValueError(f"{what}: name must not contain ',', '=' or a line break, nor be empty or begin or end "
+                         "with whitespace")
 
 
 def load_dataset(root) -> DatasetManifest:

@@ -94,7 +94,8 @@ class ModelConfig:
         return cls(input_h=64, input_w=64, input_c=3, num_classes=30)
 
 
-def config_to_text(config: ModelConfig, extras: dict | None = None) -> str:
+def config_to_text(config: ModelConfig, class_names=None) -> str:
+    """The key=value config block of config, ending in a `class_names` line when names are given."""
     lines = [
         f"input={config.input_h}x{config.input_w}x{config.input_c}",
         f"patch={config.patch}",
@@ -107,8 +108,8 @@ def config_to_text(config: ModelConfig, extras: dict | None = None) -> str:
         f"bn_momentum={config.bn_momentum!r}",
         "residual=false",  # the block has no skip connection; the key stays for format compatibility
     ]
-    for key, value in (extras or {}).items():
-        lines.append(f"{key}={value}")
+    if class_names:
+        lines.append("class_names=" + ",".join(class_names))
     return "\n".join(lines) + "\n"
 
 
@@ -116,12 +117,58 @@ _CONFIG_KEYS = {
     "input", "patch", "embed_dim", "depth", "kernels", "merge",
     "num_classes", "bn_eps", "bn_momentum", "residual",
 }
-_EXTRA_KEYS = {"class_names"}
+
+
+def check_class_names(names, num_classes: int):
+    """Raise ValueError unless names can label num_classes classes in a config block."""
+    if len(names) != num_classes:
+        raise ValueError(f"{len(names)} class names for {num_classes} classes")
+    for name in names:
+        check_class_name(name, f"class name {name!r}")
+
+
+_INT = "a decimal integer of at most 18 ASCII digits"
+_FLOAT = "a float without '_' or non-ASCII characters"
+
+
+def _ascii_int(text: str) -> int:
+    """int(text) for at most 18 ASCII decimal digits between optional whitespace."""
+    digits = text.strip()
+    # int() also reads '_' separators and non-ASCII digits, and refuses or crawls on long digit runs
+    if not (digits.isascii() and digits.isdigit() and len(digits) <= 18):
+        raise ValueError(f"not {_INT}: {text!r}")
+    return int(digits)
+
+
+def _ascii_float(text: str) -> float:
+    """float(text) for text without '_' or non-ASCII characters; 'inf' and 'nan' parse."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not {_FLOAT}: {text!r}")
+    return float(text)
+
+
+def _extents(text: str) -> tuple:
+    """(h, w, c) of an HxWxC spec."""
+    h, w, c = (_ascii_int(v) for v in text.split("x"))
+    return h, w, c
+
+
+def _config_value(values: dict, key: str, parse, expected: str):
+    """parse of the value of key; a ValueError names the key's line, the key and `expected`."""
+    lineno, text = values[key]
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"config line {lineno}: {key} must be {expected}, got {text!r}") from exc
 
 
 def parse_config_text(text: str):
-    """Parse flat key=value config lines. Returns (ModelConfig, extras dict)."""
-    values = {}
+    """Parse flat key=value config lines: (ModelConfig, class names or None).
+
+    Raises ValueError, naming the line and key, on a value that does not
+    parse as written, and on class names that `check_class_names` refuses.
+    """
+    values = {}  # key -> (line number, value)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -130,37 +177,41 @@ def parse_config_text(text: str):
             raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS | _EXTRA_KEYS:
+        if key not in _CONFIG_KEYS | {"class_names"}:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         if key in values:
             raise ValueError(f"config line {lineno}: duplicate key {key!r}")
-        values[key] = value
+        values[key] = (lineno, value)
     missing = _CONFIG_KEYS - values.keys()
     if missing:
         raise ValueError(f"config missing keys: {sorted(missing)}")
-    try:
-        h, w, c = (int(v) for v in values["input"].split("x"))
-    except ValueError as exc:
-        raise ValueError(f"bad input spec {values['input']!r}, expected HxWxC") from exc
-    if values["merge"] != "sum":
-        raise ValueError(f"invalid model config: merge mode must be 'sum', got {values['merge']!r}")
-    if values["residual"].lower() != "false":
-        raise ValueError(f"invalid model config: residual must be 'false', got {values['residual']!r}")
+    (merge_line, merge), (residual_line, residual) = values["merge"], values["residual"]
+    if merge != "sum":
+        raise ValueError(f"config line {merge_line}: invalid model config: merge mode must be 'sum', got {merge!r}")
+    if residual.lower() != "false":
+        raise ValueError(
+            f"config line {residual_line}: invalid model config: residual must be 'false', got {residual!r}"
+        )
+    h, w, c = _config_value(values, "input", _extents, f"HxWxC, each {_INT}")
     config = ModelConfig(
         input_h=h,
         input_w=w,
         input_c=c,
-        patch=int(values["patch"]),
-        embed_dim=int(values["embed_dim"]),
-        depth=int(values["depth"]),
-        kernels=tuple(int(k) for k in values["kernels"].split(",")),
-        num_classes=int(values["num_classes"]),
-        bn_eps=float(values["bn_eps"]),
-        bn_momentum=float(values["bn_momentum"]),
+        patch=_config_value(values, "patch", _ascii_int, _INT),
+        embed_dim=_config_value(values, "embed_dim", _ascii_int, _INT),
+        depth=_config_value(values, "depth", _ascii_int, _INT),
+        kernels=_config_value(values, "kernels", lambda v: tuple(_ascii_int(k) for k in v.split(",")),
+                              f"comma-separated, each {_INT}"),
+        num_classes=_config_value(values, "num_classes", _ascii_int, _INT),
+        bn_eps=_config_value(values, "bn_eps", _ascii_float, _FLOAT),
+        bn_momentum=_config_value(values, "bn_momentum", _ascii_float, _FLOAT),
     )
     config.validate()
-    extras = {k: values[k] for k in _EXTRA_KEYS if k in values}
-    return config, extras
+    class_names = None
+    if "class_names" in values:
+        class_names = values["class_names"][1].split(",")
+        check_class_names(class_names, config.num_classes)
+    return config, class_names
 
 
 @dataclass
@@ -364,19 +415,13 @@ def save(model: SceneMixerModel, path):
     read back differently or reject.
     """
     if model.class_names:
-        if len(model.class_names) != model.config.num_classes:
-            raise ValueError(f"{len(model.class_names)} class names for {model.config.num_classes} classes")
-        for name in model.class_names:
-            check_class_name(name, f"class name {name!r}")
+        check_class_names(model.class_names, model.config.num_classes)
     write_atomic(path, _checkpoint_chunks(model))
 
 
 def _checkpoint_chunks(model: SceneMixerModel):
     """The `.smxc` bytes of model, one field at a time."""
-    extras = {}
-    if model.class_names:
-        extras["class_names"] = ",".join(model.class_names)
-    config_blob = config_to_text(model.config, extras).encode("utf-8")
+    config_blob = config_to_text(model.config, model.class_names).encode("utf-8")
     tensors = model.all_tensors()
     yield CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION)
     yield struct.pack("<I", len(config_blob)) + config_blob
@@ -428,7 +473,7 @@ def load(path) -> SceneMixerModel:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     config_text = r.text("config block")
     try:
-        config, extras = parse_config_text(config_text)
+        config, class_names = parse_config_text(config_text)
     except ValueError as exc:
         raise CheckpointError(str(exc)) from exc
     count = r.u32()
@@ -464,9 +509,5 @@ def load(path) -> SceneMixerModel:
         if tensors[name].shape != t.shape:
             raise CheckpointError(f"tensor {name}: shape {tensors[name].shape} != {t.shape} expected from config")
         t[:] = tensors[name]
-    if "class_names" in extras:
-        names = extras["class_names"].split(",")
-        if len(names) != config.num_classes:
-            raise CheckpointError(f"checkpoint lists {len(names)} class names for {config.num_classes} classes")
-        model.class_names = names
+    model.class_names = class_names
     return model

@@ -382,3 +382,71 @@ def test_killed_artifact_write_keeps_the_old_file(tmp_path, tiny_dataset, tiny_c
     assert proc.returncode == 2 and "File too large" in proc.stderr, proc.stderr
     assert path.read_bytes() == old
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+def _train_tiny(tmp_path, tiny_dataset, tiny_config, *extra):
+    model = tmp_path / "m.smxc"
+    assert run_inproc(["train", "--data", str(tiny_dataset), "--config", str(tiny_config), "--epochs", "1",
+                       "--batch", "8", "--seed", "3", "--out", str(model), "--quiet", *extra]) == 0
+    return model
+
+
+@pytest.mark.parametrize("old, new", [
+    ("01_checkerboard", "01_grid"),  # same sorted order, one name differs
+    ("00_stripes_horizontal", "03_stripes_horizontal"),  # every label shifts by one
+], ids=["renamed", "reordered"])
+def test_eval_on_class_folders_other_than_the_checkpoints_is_runtime_error(tmp_path, tiny_dataset, tiny_config,
+                                                                           old, new, capsys):
+    model = _train_tiny(tmp_path, tiny_dataset, tiny_config)
+    trained = sm.load(model).class_names
+    (tiny_dataset / old).rename(tiny_dataset / new)
+    capsys.readouterr()
+    cm = tmp_path / "cm.csv"
+    assert run_inproc(["eval", "--model", str(model), "--data", str(tiny_dataset), "--seed", "3",
+                       "--confusion", str(cm)]) == 2
+    out = capsys.readouterr()
+    assert str(trained) in out.err and str(dm.load_dataset(tiny_dataset).class_names) in out.err
+    assert out.out == "" and not cm.exists()
+
+
+def test_eval_class_count_mismatch_fails(tmp_path, tiny_dataset, tiny_config, capsys):
+    model = _train_tiny(tmp_path, tiny_dataset, tiny_config)
+    extra = tiny_dataset / "03_extra"
+    extra.mkdir()
+    for ppm in (tiny_dataset / "01_checkerboard").glob("*.ppm"):
+        (extra / ppm.name).write_bytes(ppm.read_bytes())
+    capsys.readouterr()
+    assert run_inproc(["eval", "--model", str(model), "--data", str(tiny_dataset), "--seed", "3"]) == 2
+    out = capsys.readouterr()
+    assert "03_extra" in out.err and out.out == ""
+
+
+@pytest.mark.parametrize("command", ["synth", "split", "train", "eval"])
+def test_negative_seed_is_usage_error(tmp_path, tiny_dataset, tiny_config, command, capsys):
+    args = {
+        "synth": ["synth", "--out", str(tmp_path / "s"), "--classes", "2", "--per-class", "2"],
+        "split": ["split", "--data", str(tiny_dataset), "--out", str(tmp_path / "s.csv")],
+        "train": ["train", "--data", str(tiny_dataset), "--config", str(tiny_config), "--epochs", "1",
+                  "--out", str(tmp_path / "m.smxc"), "--quiet"],
+        "eval": ["eval", "--model", str(tmp_path / "m.smxc"), "--data", str(tiny_dataset)],
+    }[command]
+    assert run_inproc([*args, "--seed", "-1"]) == 1
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not any((tmp_path / name).exists() for name in ("s", "s.csv", "m.smxc"))
+
+
+def test_train_and_eval_without_manifest_match_split_at_the_same_seed(tmp_path, tiny_dataset, tiny_config):
+    # README: without --manifest, train and eval re-derive what `split --seed` writes
+    manifest = tmp_path / "split.csv"
+    assert run_inproc(["split", "--data", str(tiny_dataset), "--seed", "4", "--out", str(manifest)]) == 0
+    outputs = []
+    for extra in ([], ["--manifest", str(manifest)]):
+        run = tmp_path / f"run{len(outputs)}"
+        run.mkdir()
+        assert run_inproc(["train", "--data", str(tiny_dataset), "--config", str(tiny_config), "--epochs", "2",
+                           "--batch", "8", "--seed", "4", "--out", str(run / "m.smxc"),
+                           "--history", str(run / "h.csv"), "--quiet", *extra]) == 0
+        assert run_inproc(["eval", "--model", str(run / "m.smxc"), "--data", str(tiny_dataset), "--seed", "4",
+                           "--confusion", str(run / "cm.csv"), *extra]) == 0
+        outputs.append({name: (run / name).read_bytes() for name in ("m.smxc", "h.csv", "cm.csv")})
+    assert outputs[0] == outputs[1]

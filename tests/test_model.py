@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 import tracemalloc
@@ -384,8 +385,8 @@ def test_checkpoint_carries_its_own_config(tmp_path):
 
 def test_config_text_round_trip():
     cfg = sm.ModelConfig.eurosat_default()
-    parsed, extras = sm.parse_config_text(sm.config_to_text(cfg))
-    assert parsed == cfg and extras == {}
+    parsed, class_names = sm.parse_config_text(sm.config_to_text(cfg))
+    assert parsed == cfg and class_names is None
 
 
 @pytest.mark.parametrize("line", ["merge=avg", "residual=true", "residual=yes"])
@@ -412,6 +413,31 @@ def test_config_text_rejects_non_finite_or_non_positive_bn_eps(bn_eps):
     text = sm.config_to_text(TINY).replace("bn_eps=0.001", f"bn_eps={bn_eps}")
     with pytest.raises(ValueError, match=rf"bn_eps must be finite and > 0, got {float(bn_eps)}"):
         sm.parse_config_text(text)
+
+
+@pytest.mark.parametrize("line", [
+    "embed_dim=2_0", "embed_dim=\u0662", "patch=abc", "patch=-2", "num_classes=" + "9" * 5000,
+    "num_classes=" + "0" * 18 + "2", "input=4x4", "input=4x4x\uff11", "kernels=3,5_0", "bn_eps=1_0",
+    "bn_momentum=0.\u0669", "bn_eps=",
+], ids=["int-underscore", "int-arabic-indic", "int-letters", "int-negative", "int-5000-digits", "int-19-digits",
+        "input-two-extents", "input-fullwidth", "kernels-underscore", "float-underscore", "float-arabic-indic",
+        "float-empty"])
+def test_config_values_parse_as_written_or_name_their_line_and_key(line):
+    key = line.partition("=")[0]
+    lines = sm.config_to_text(TINY).splitlines()
+    at = next(i for i, old in enumerate(lines) if old.startswith(key + "="))
+    lines[at] = line
+    with pytest.raises(ValueError, match=rf"^config line {at + 1}: {key} must be "):
+        sm.parse_config_text("\n".join(lines))
+
+
+def test_config_values_allow_outer_whitespace_and_18_digits():
+    text = sm.config_to_text(TINY)
+    for old, new in [("patch=2", "patch=\t" + "0" * 17 + "2 "), ("kernels=3,5", "kernels= 3 , 5"),
+                     ("bn_eps=0.001", "bn_eps= 1e-3")]:
+        text = text.replace(old, new)
+    parsed, _ = sm.parse_config_text(text)
+    assert parsed == TINY
 
 
 @pytest.mark.parametrize("extents", [(2**62, 4, 1, 1), (2**32, 2**32, 1, 1)])
@@ -449,6 +475,21 @@ def test_save_rejects_class_names_load_would_not_return(tmp_path, names, match):
     with pytest.raises(ValueError, match=match):
         sm.save(net, path)
     assert path.read_bytes() == blob
+
+
+@pytest.mark.parametrize("names", ["water, forest,urban", "water,,urban"], ids=["inner-space", "empty"])
+def test_load_rejects_class_names_save_would_refuse(tmp_path, names):
+    net = sm.build(dataclasses.replace(TINY, num_classes=3), seed=4)
+    net.class_names = names.split(",")
+    with pytest.raises(ValueError, match="name must not"):
+        sm.save(net, tmp_path / "refused.smxc")
+    net.class_names = ["water", "forest", "urban"]
+    path = tmp_path / "three.smxc"
+    sm.save(net, path)
+    path.write_bytes(_replace_config(path.read_bytes(), b"class_names=water,forest,urban",
+                                     b"class_names=" + names.encode()))
+    with pytest.raises(sm.CheckpointError, match="name must not"):
+        sm.load(path)
 
 
 def _saved_blob(tmp_path):

@@ -84,8 +84,8 @@ def test_ppm_round_trip_is_exact_on_byte_valued_images(raw):
 @FEW
 @given(model_configs())
 def test_config_text_round_trip(config):
-    parsed, extras = sm.parse_config_text(sm.config_to_text(config))
-    assert parsed == config and extras == {}
+    parsed, class_names = sm.parse_config_text(sm.config_to_text(config))
+    assert parsed == config and class_names is None
 
 
 @FEW
