@@ -39,6 +39,7 @@ def _apply_threads(threads):
 
 
 def _resolve_model_config(spec: str):
+    """(ModelConfig, class names or None) of a builtin config name or a config file."""
     from . import model as model_mod
 
     builtin = {
@@ -46,12 +47,11 @@ def _resolve_model_config(spec: str):
         "aid-default": model_mod.ModelConfig.aid_default,
     }
     if spec in builtin:
-        return builtin[spec]()
+        return builtin[spec](), None
     if not os.path.isfile(spec):
         raise FileNotFoundError(f"config {spec!r} is neither a file nor one of {sorted(builtin)}")
     with open(spec, "r", encoding="utf-8") as fh:
-        config, _ = model_mod.parse_config_text(fh.read())
-    return config
+        return model_mod.parse_config_text(fh.read())
 
 
 def _load_split_dataset(data_root, manifest_path, seed, num_classes, class_names=None):
@@ -74,7 +74,7 @@ def _load_split_dataset(data_root, manifest_path, seed, num_classes, class_names
 def _cmd_analyze(args):
     from . import analyzer
 
-    config = _resolve_model_config(args.config)
+    config, _ = _resolve_model_config(args.config)
     report = analyzer.cost_report(config, trainable_only=args.trainable_only)
     sys.stdout.write(analyzer.format_report(report, config))
     if args.csv:
@@ -108,8 +108,8 @@ def _cmd_train(args):
     from . import model as model_mod
     from . import train as train_mod
 
-    config = _resolve_model_config(args.config)
-    manifest = _load_split_dataset(args.data, args.manifest, args.seed, config.num_classes)
+    config, class_names = _resolve_model_config(args.config)
+    manifest = _load_split_dataset(args.data, args.manifest, args.seed, config.num_classes, class_names)
     train_xy = data_mod.split_arrays(manifest, "train", config.input_h, config.input_w)
     val_xy = data_mod.split_arrays(manifest, "val", config.input_h, config.input_w)
     net = model_mod.build(config, seed=args.seed)

@@ -8,9 +8,15 @@ input: decode yields uint8 pixels, `normalize` maps them to float32 in
 in memory and are already normalized; each synthetic image draws its
 pattern's period, phase or placement and then its pixel noise (sigma
 `SYNTH_NOISE_SIGMA`, 10/255) from a stream seeded by (seed, class, index).
+
+A PPM header is four fields, `P6`, width, height and maxval 255. Before
+each field come any ASCII whitespace and `#` comments, which run to the end
+of their line; each field ends at whitespace, and exactly one whitespace
+byte follows maxval before the pixels.
 """
 
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +68,17 @@ class SplitSpec:
             raise ValueError(f"split fractions must sum to 1, got {fracs}")
 
 
+EXCERPT_LEN = 64
+
+
+def excerpt(value) -> str:
+    """repr of a str or bytes value from outside the program, for an error
+    message: whole up to EXCERPT_LEN items, else its first EXCERPT_LEN and its length."""
+    if len(value) <= EXCERPT_LEN:
+        return repr(value)
+    return f"{value[:EXCERPT_LEN]!r} (first {EXCERPT_LEN} of {len(value):,})"
+
+
 # ---------------------------------------------------------------------------
 # PPM codec (binary "P6", maxval 255)
 
@@ -69,36 +86,26 @@ class PpmError(ValueError):
     pass
 
 
-def _read_header_token(blob: bytes, pos: int):
-    # skip whitespace and '#' comment lines between header fields
-    n = len(blob)
-    while pos < n:
-        ch = blob[pos : pos + 1]
-        if ch.isspace():
-            pos += 1
-        elif ch == b"#":
-            while pos < n and blob[pos : pos + 1] != b"\n":
-                pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not blob[pos : pos + 1].isspace():
-        pos += 1
-    if start == pos:
-        raise PpmError("truncated PPM header")
-    return blob[start:pos], pos
+# magic, width, height, maxval: each after whitespace and '#' comments, each
+# ending at whitespace. Every part can match empty, so the greedy first try
+# always matches and never backtracks; an empty token means the blob ended.
+_PPM_HEADER = re.compile(rb"(?:\s|#[^\n]*)*(\S*)" * 4)
 
 
 def decode_ppm(blob: bytes) -> Tensor:
     """Binary PPM bytes -> (h, w, 3) uint8 pixels, a read-only view of blob."""
-    magic, pos = _read_header_token(blob, 0)
+    header = _PPM_HEADER.match(blob)
+    magic, *tokens = header.groups()
+    if not magic:
+        raise PpmError("truncated PPM header")
     if magic != b"P6":
-        raise PpmError(f"unsupported PPM format {magic!r}: only binary P6 is handled")
+        raise PpmError(f"unsupported PPM format {excerpt(magic)}: only binary P6 is handled")
     fields = []
-    for _ in range(3):
-        tok, pos = _read_header_token(blob, pos)
+    for tok in tokens:
+        if not tok:
+            raise PpmError("truncated PPM header")
         if not tok.isdigit():
-            raise PpmError(f"bad PPM header field {tok!r}")
+            raise PpmError(f"bad PPM header field {excerpt(tok)}")
         if len(tok) > 18:  # int() refuses or crawls on long digit runs; no payload this large fits in memory
             raise PpmError(f"PPM header field of {len(tok)} digits is too large")
         fields.append(int(tok))
@@ -107,7 +114,7 @@ def decode_ppm(blob: bytes) -> Tensor:
         raise PpmError(f"unsupported PPM maxval {maxval}: expected 255")
     if w < 1 or h < 1:
         raise PpmError(f"bad PPM dimensions {w}x{h}")
-    pos += 1  # single whitespace byte after maxval
+    pos = header.end() + 1  # single whitespace byte after maxval
     payload = blob[pos : pos + h * w * 3]
     if len(payload) != h * w * 3:
         raise PpmError(f"truncated PPM payload: expected {h * w * 3} bytes, got {len(payload)}")
@@ -232,7 +239,9 @@ def split_arrays(manifest: DatasetManifest, split: str, out_h: int, out_w: int):
     """Materialize one split as (images (n,h,w,3) float32 in [0,1], labels)."""
     records = manifest.of_split(split)
     if not records:
-        raise ValueError(f"split {split!r} has no samples (was stratified_split run?)")
+        sizes = np.bincount([s.class_index for s in manifest.samples], minlength=manifest.num_classes).tolist()
+        raise ValueError(f"split {split!r} has no samples: per-class counts {manifest.per_class_counts(split)} "
+                         f"of class sizes {sizes}")
     x = np.stack([load_image(s.path, out_h, out_w) if s.image is None else resize_bilinear(s.image, out_h, out_w)
                   for s in records])
     y = np.array([s.class_index for s in records], dtype=np.int64)
@@ -294,16 +303,16 @@ def apply_split_csv(manifest: DatasetManifest, text: str):
             raise ValueError(f"split manifest line {lineno}: expected 3 fields")
         key, cls, split = parts
         if key in assignments:
-            raise ValueError(f"split manifest line {lineno}: duplicate path {key!r}")
+            raise ValueError(f"split manifest line {lineno}: duplicate path {excerpt(key)}")
         if split not in ("train", "val", "test", "unassigned"):
-            raise ValueError(f"split manifest line {lineno}: unknown split {split!r}")
+            raise ValueError(f"split manifest line {lineno}: unknown split {excerpt(split)}")
         assignments[key] = (cls, split)
     for s in manifest.samples:
         if s.key not in assignments:
-            raise ValueError(f"split manifest missing sample {s.key!r}")
+            raise ValueError(f"split manifest missing sample {excerpt(s.key)}")
         cls, split = assignments[s.key]
         if cls != manifest.class_names[s.class_index]:
-            raise ValueError(f"split manifest class mismatch for {s.key!r}: {cls!r}")
+            raise ValueError(f"split manifest class mismatch for {excerpt(s.key)}: {excerpt(cls)}")
         s.split = split
     return manifest
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import layers
-from .data import check_class_name
+from .data import check_class_name, excerpt
 from .fileio import write_atomic
 from .layers import BatchNormState, ConvParams, LayerCache
 from .numerics import ShapeError, Tensor
@@ -124,7 +124,7 @@ def check_class_names(names, num_classes: int):
     if len(names) != num_classes:
         raise ValueError(f"{len(names)} class names for {num_classes} classes")
     for name in names:
-        check_class_name(name, f"class name {name!r}")
+        check_class_name(name, f"class name {excerpt(name)}")
 
 
 _INT = "a decimal integer of at most 18 ASCII digits"
@@ -136,14 +136,14 @@ def _ascii_int(text: str) -> int:
     digits = text.strip()
     # int() also reads '_' separators and non-ASCII digits, and refuses or crawls on long digit runs
     if not (digits.isascii() and digits.isdigit() and len(digits) <= 18):
-        raise ValueError(f"not {_INT}: {text!r}")
+        raise ValueError(f"not {_INT}: {excerpt(text)}")
     return int(digits)
 
 
 def _ascii_float(text: str) -> float:
     """float(text) for text without '_' or non-ASCII characters; 'inf' and 'nan' parse."""
     if not text.isascii() or "_" in text:
-        raise ValueError(f"not {_FLOAT}: {text!r}")
+        raise ValueError(f"not {_FLOAT}: {excerpt(text)}")
     return float(text)
 
 
@@ -159,7 +159,7 @@ def _config_value(values: dict, key: str, parse, expected: str):
     try:
         return parse(text)
     except ValueError as exc:
-        raise ValueError(f"config line {lineno}: {key} must be {expected}, got {text!r}") from exc
+        raise ValueError(f"config line {lineno}: {key} must be {expected}, got {excerpt(text)}") from exc
 
 
 def parse_config_text(text: str):
@@ -174,11 +174,11 @@ def parse_config_text(text: str):
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
+            raise ValueError(f"config line {lineno}: expected key=value, got {excerpt(raw)}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key not in _CONFIG_KEYS | {"class_names"}:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
+            raise ValueError(f"config line {lineno}: unknown key {excerpt(key)}")
         if key in values:
             raise ValueError(f"config line {lineno}: duplicate key {key!r}")
         values[key] = (lineno, value)
@@ -187,10 +187,12 @@ def parse_config_text(text: str):
         raise ValueError(f"config missing keys: {sorted(missing)}")
     (merge_line, merge), (residual_line, residual) = values["merge"], values["residual"]
     if merge != "sum":
-        raise ValueError(f"config line {merge_line}: invalid model config: merge mode must be 'sum', got {merge!r}")
+        raise ValueError(
+            f"config line {merge_line}: invalid model config: merge mode must be 'sum', got {excerpt(merge)}"
+        )
     if residual.lower() != "false":
         raise ValueError(
-            f"config line {residual_line}: invalid model config: residual must be 'false', got {residual!r}"
+            f"config line {residual_line}: invalid model config: residual must be 'false', got {excerpt(residual)}"
         )
     h, w, c = _config_value(values, "input", _extents, f"HxWxC, each {_INT}")
     config = ModelConfig(

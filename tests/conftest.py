@@ -1,10 +1,13 @@
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+
+from scenemixer.data import EXCERPT_LEN
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -37,6 +40,16 @@ def max_rel_err(a, b, floor=1e-6):
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom))
+
+
+MEGABYTE = 1 << 20
+
+
+def assert_bounded_excerpt(exc, pattern):
+    """exc's message matches pattern, and the megabyte-long input it quotes is cut to an excerpt."""
+    message = str(exc)
+    assert re.search(pattern, message), message[:300]
+    assert len(message) < 300 and f"(first {EXCERPT_LEN} of " in message, message[:300]
 
 
 @pytest.fixture

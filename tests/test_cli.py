@@ -201,6 +201,29 @@ def test_train_class_count_mismatch_fails(tmp_path, tiny_dataset, capsys):
     assert "classes" in capsys.readouterr().err
 
 
+def test_train_config_class_names_must_be_the_folders(tmp_path, tiny_dataset, capsys):
+    folders = dm.load_dataset(tiny_dataset).class_names
+    config, model = tmp_path / "named.cfg", tmp_path / "m.smxc"
+    args = ["train", "--data", str(tiny_dataset), "--config", str(config), "--epochs", "1", "--batch", "8",
+            "--seed", "3", "--out", str(model), "--quiet"]
+    config.write_text(TINY_CONFIG_TEXT + "class_names=x,y,z\n")
+    assert run_inproc(args) == 2
+    err = capsys.readouterr().err
+    assert str(folders) in err and "['x', 'y', 'z']" in err and not model.exists()
+    config.write_text(TINY_CONFIG_TEXT + "class_names=" + ",".join(folders) + "\n")
+    assert run_inproc(args) == 0 and sm.load(model).class_names == folders
+
+
+def test_train_on_a_split_too_small_for_val_names_the_counts(tmp_path, tiny_config, capsys):
+    data = tmp_path / "small"
+    assert run_inproc(["synth", "--out", str(data), "--classes", "3", "--per-class", "6", "--side", "16"]) == 0
+    assert run_inproc(["train", "--data", str(data), "--config", str(tiny_config), "--epochs", "1",
+                       "--out", str(tmp_path / "m.smxc"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "split 'val' has no samples: per-class counts [0, 0, 0] of class sizes [6, 6, 6]" in err
+    assert "stratified_split run" not in err
+
+
 def test_every_command_echoes_resolved_settings(tmp_path, capsys):
     run_inproc(["synth", "--out", str(tmp_path / "e"), "--classes", "2",
                 "--per-class", "3", "--seed", "1", "--side", "8"])

@@ -5,6 +5,8 @@ import pytest
 
 from scenemixer import data as dm
 
+from conftest import MEGABYTE, assert_bounded_excerpt
+
 
 # ---------------------------------------------------------------------------
 # PPM codec
@@ -43,6 +45,44 @@ def test_decode_ppm_rejects_over_long_header_fields(blob):
 def test_decode_ppm_rejects_truncation():
     with pytest.raises(dm.PpmError, match="truncated"):
         dm.decode_ppm(b"P6\n2 2\n255\n" + bytes(11))
+
+
+# each outcome, pixels or the exact PpmError message, is the one the earlier
+# byte-at-a-time header reader gave
+@pytest.mark.parametrize("blob, want", [
+    pytest.param(b"# made by hand\nP6 1 1 255\n\x01\x02\x03", [1, 2, 3], id="comment-before-magic"),
+    pytest.param(b"P6\n#a\n1 #b\n1\n#c\n255\n\x01\x02\x03", [1, 2, 3], id="comment-between-every-field"),
+    pytest.param(b"P6 1#2 1 255\n\x01\x02\x03", "bad PPM header field b'1#2'", id="hash-inside-field"),
+    pytest.param(b"P6#a\n1 1 255\n\x01\x02\x03", "unsupported PPM format b'P6#a': only binary P6 is handled",
+                 id="hash-right-after-magic"),
+    pytest.param(b"P6\t1\r1\x0b255\x0c\x01\x02\x03", [1, 2, 3], id="tab-cr-vt-ff-separators"),
+    pytest.param(b"P6\xa01 1 255\n\x01\x02\x03", "unsupported PPM format b'P6\\xa01': only binary P6 is handled",
+                 id="non-ascii-space-is-no-separator"),
+    pytest.param(b"P6 1 1 255\n#\x02\x03", [35, 2, 3], id="one-byte-after-maxval-then-pixels"),
+    pytest.param(b"P6 1 1", "truncated PPM header", id="header-ends-at-eof"),
+    pytest.param(b"P6 1 1 # no newline", "truncated PPM header", id="comment-runs-to-eof"),
+    pytest.param(b"P6 1 1 255", "truncated PPM payload: expected 3 bytes, got 0", id="nothing-after-maxval"),
+    pytest.param(b"", "truncated PPM header", id="empty"),
+    pytest.param(b" \t\r\n\x0b\x0c", "truncated PPM header", id="whitespace-only"),
+    pytest.param(b"P6\n#" + b"c" * 4_000_000 + b"\n1 1\n255\n\x01\x02\x03", [1, 2, 3], id="four-megabyte-comment"),
+])
+def test_decode_ppm_header_grammar(blob, want):
+    if isinstance(want, list):
+        assert dm.decode_ppm(blob).reshape(-1).tolist() == want
+    else:
+        with pytest.raises(dm.PpmError) as info:
+            dm.decode_ppm(blob)
+        assert str(info.value) == want
+
+
+@pytest.mark.parametrize("blob, pattern", [
+    pytest.param(b"P" * MEGABYTE, "^unsupported PPM format b'PPP", id="magic"),
+    pytest.param(b"P6 " + b"9" * (MEGABYTE - 1) + b"x 1 255\n", "^bad PPM header field b'999", id="width"),
+])
+def test_decode_ppm_error_quotes_a_bounded_excerpt(blob, pattern):
+    with pytest.raises(dm.PpmError) as info:
+        dm.decode_ppm(blob)
+    assert_bounded_excerpt(info.value, pattern)
 
 
 def test_ppm_round_trip(tmp_path, rng):
@@ -355,3 +395,18 @@ def test_apply_split_csv_rejects_duplicate_path():
     moved = ",".join([key, cls, "val" if manifest.samples[0].split == "train" else "train"])
     with pytest.raises(ValueError, match=f"line {len(lines) + 1}: duplicate path '{key}'"):
         dm.apply_split_csv(_memory_manifest(10), "\n".join(lines + [moved]) + "\n")
+
+
+@pytest.mark.parametrize("rows, pattern", [
+    pytest.param(["{key},a,train", "{key},a,val"], r"^split manifest line 3: duplicate path 'a/1+'", id="path"),
+    pytest.param(["{key},a,{long}"], r"^split manifest line 2: unknown split 'x+'", id="split"),
+    pytest.param(["{key},{long},train"], r"^split manifest class mismatch for 'a/1+' .*: 'x+'", id="class"),
+    pytest.param([], r"^split manifest missing sample 'a/1+'", id="missing"),
+])
+def test_apply_split_csv_error_quotes_a_bounded_excerpt(rows, pattern):
+    key = "a/" + "1" * (MEGABYTE - 2)
+    manifest = dm.DatasetManifest(["a"], [dm.SampleRecord(key=key, class_index=0)])
+    text = "\n".join(["path,class,split"] + [row.format(key=key, long="x" * MEGABYTE) for row in rows])
+    with pytest.raises(ValueError) as info:
+        dm.apply_split_csv(manifest, text)
+    assert_bounded_excerpt(info.value, pattern)

@@ -11,7 +11,7 @@ from scenemixer import model as sm
 from scenemixer import train as tr
 from scenemixer.numerics import ShapeError, finite_diff_grad
 
-from conftest import max_rel_err, run_with_file_size_limit
+from conftest import MEGABYTE, assert_bounded_excerpt, max_rel_err, run_with_file_size_limit
 
 TINY = sm.ModelConfig(input_h=4, input_w=4, input_c=1, patch=2, embed_dim=2,
                       depth=1, kernels=(3, 5), num_classes=2)
@@ -406,6 +406,22 @@ def test_config_text_rejects_unknown_key():
     text = sm.config_to_text(sm.ModelConfig.eurosat_default()) + "bogus=1\n"
     with pytest.raises(ValueError, match="bogus"):
         sm.parse_config_text(text)
+
+
+@pytest.mark.parametrize("line, new, pattern", [
+    ("num_classes=2", "num_classes={long}", r"^config line 7: num_classes must be .*, got '9+'"),
+    ("input=4x4x1", "input={long}x4x1", r"^config line 1: input must be .*, got '9+'"),
+    ("merge=sum", "merge={long}", r"^config line 6: invalid model config: merge mode must be 'sum', got '9+'"),
+    ("residual=false", "residual={long}", r"^config line 10: invalid model config: residual must be 'false', got '9+'"),
+    ("depth=1", "{long}", r"^config line 4: expected key=value, got '9+'"),
+    ("depth=1", "depth=1\n{long}=1", r"^config line 5: unknown key '9+'"),
+    ("depth=1", "depth=1\nclass_names=a,b={long}", r"^class name 'b=9+' .*: name must not contain"),
+], ids=["value", "extents", "merge", "residual", "line", "key", "class-name"])
+def test_config_text_error_quotes_a_bounded_excerpt(line, new, pattern):
+    text = sm.config_to_text(TINY).replace(line, new.format(long="9" * MEGABYTE))
+    with pytest.raises(ValueError) as info:
+        sm.parse_config_text(text)
+    assert_bounded_excerpt(info.value, pattern)
 
 
 @pytest.mark.parametrize("bn_eps", ["inf", "nan", "0", "-1e-3"])

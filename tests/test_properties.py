@@ -26,6 +26,26 @@ def ppm_images(draw):
     return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
 
 
+# what may come before a PPM header field: ASCII whitespace, and '#' comments to the end of their line
+header_whitespace = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+header_comments = st.binary(max_size=6).map(lambda text: b"#" + text.replace(b"\n", b"") + b"\n")
+
+
+@st.composite
+def ppm_blobs(draw):
+    """(pixels, PPM bytes of them): encode_ppm's output, or a header with
+    comments and mixed whitespace before each field."""
+    raw = draw(ppm_images())
+    if draw(st.booleans()):
+        return raw, dm.encode_ppm(raw.astype(np.float32) / np.float32(255.0))
+    header = b""
+    for i, field in enumerate([b"P6", b"%d" % raw.shape[1], b"%d" % raw.shape[0], b"255"]):
+        # a field ends at whitespace, so a comment may follow one only after a whitespace byte
+        gap = draw(st.lists(st.one_of(header_whitespace, header_comments), max_size=3))
+        header += (draw(header_whitespace) if i else b"") + b"".join(gap) + field
+    return raw, header + draw(header_whitespace) + raw.tobytes()
+
+
 @st.composite
 def model_configs(draw):
     patch = draw(st.integers(1, 8))
@@ -74,9 +94,10 @@ def mutations(draw, seq, alphabet):
 
 
 @FEW
-@given(ppm_images())
-def test_ppm_round_trip_is_exact_on_byte_valued_images(raw):
-    decoded = dm.decode_ppm(dm.encode_ppm(raw.astype(np.float32) / np.float32(255.0)))
+@given(ppm_blobs())
+def test_ppm_round_trip_is_exact_on_byte_valued_images(ppm):
+    raw, blob = ppm
+    decoded = dm.decode_ppm(blob)
     assert decoded.dtype == np.uint8
     assert np.array_equal(decoded, raw)
 
@@ -120,7 +141,7 @@ def test_checkpoint_round_trip_is_bit_exact(config, seed):
 @FEW
 @given(st.data())
 def test_mutated_ppm_decodes_or_raises_ppm_error(data):
-    blob = dm.encode_ppm(data.draw(ppm_images()) / 255.0)
+    _, blob = data.draw(ppm_blobs())
     mutant = data.draw(mutations(blob, st.binary(min_size=1, max_size=1)))
     try:
         img = dm.decode_ppm(mutant)
