@@ -2,9 +2,12 @@
 
 Exit codes: 0 success, 1 usage error, 2 runtime error. Every run echoes
 its resolved settings to stderr before acting; primary results go to
-stdout. `--threads` caps BLAS parallelism (results do not depend on it)
-and must therefore be applied before numpy is first imported, which is
-why the implementation modules are imported inside the handlers.
+stdout. `--threads` sets the size of the thread pool that `eval` and
+`predict` run their infer chunks on (default: the usable cores); results
+do not depend on it. `train` runs on one thread. Every command pins BLAS
+to one thread, so pool threads do not oversubscribe the cores; BLAS reads
+that setting when numpy is first imported, which is why the
+implementation modules are imported inside the handlers.
 """
 
 import argparse
@@ -30,12 +33,16 @@ def _echo_settings(args):
 
 
 def _apply_threads(threads):
-    if threads is None:
-        return
-    if threads < 1:
+    """Check --threads and pin BLAS to one thread; the thread count is the infer pool's."""
+    if threads is not None and threads < 1:
         raise _UsageError(f"--threads must be >= 1, got {threads}")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(threads)
+        os.environ[var] = "1"
+
+
+def _pool_threads(threads):
+    """The infer pool size: --threads, or else the number of usable cores."""
+    return threads if threads is not None else len(os.sched_getaffinity(0))
 
 
 def _resolve_model_config(spec: str):
@@ -60,9 +67,16 @@ def _load_split_dataset(data_root, manifest_path, seed, num_classes, class_names
     from . import data as data_mod
 
     manifest = data_mod.load_dataset(data_root)
-    if manifest.num_classes != num_classes or class_names and manifest.class_names != class_names:
-        raise ValueError(f"dataset class folders {manifest.class_names} do not match the model's "
-                         f"{class_names or num_classes} classes")
+    folders = manifest.class_names
+    if class_names and folders != class_names:
+        # both lists may come from outside the program: quote a bounded excerpt of each
+        at = next((i for i, (a, b) in enumerate(zip(folders, class_names)) if a != b),
+                  min(len(folders), len(class_names)))
+        raise ValueError(f"dataset class folders {data_mod.excerpt_list(folders)} do not match the model's "
+                         f"classes {data_mod.excerpt_list(class_names)}: they first differ at index {at}")
+    if manifest.num_classes != num_classes:
+        raise ValueError(f"dataset class folders {data_mod.excerpt_list(folders)} do not match the model's "
+                         f"{num_classes} classes")
     if manifest_path:
         with open(manifest_path, "r", encoding="utf-8") as fh:
             data_mod.apply_split_csv(manifest, fh.read())
@@ -135,7 +149,7 @@ def _cmd_eval(args):
     net = model_mod.load(args.model)
     manifest = _load_split_dataset(args.data, args.manifest, args.seed, net.config.num_classes, net.class_names)
     x, y = data_mod.split_arrays(manifest, args.split, net.config.input_h, net.config.input_w)
-    pred = model_mod.predict(net, x)
+    pred = model_mod.predict(net, x, _pool_threads(args.threads))
     cm = metrics_mod.confusion(y, pred, manifest.num_classes, class_names=manifest.class_names)
     summary = metrics_mod.metrics_summary(cm)
     print(f"OA: {summary['OA'] * 100:.2f}%")
@@ -155,7 +169,7 @@ def _cmd_predict(args):
 
     net = model_mod.load(args.model)
     img = data_mod.load_image(args.image, net.config.input_h, net.config.input_w)
-    label = int(model_mod.predict(net, img[None, :, :, :])[0])
+    label = int(model_mod.predict(net, img[None, :, :, :], _pool_threads(args.threads))[0])
     names = net.class_names or [f"class_{i}" for i in range(net.config.num_classes)]
     print(names[label])
     return 0
@@ -164,7 +178,9 @@ def _cmd_predict(args):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="scenemixer", description="Convolutional mixer scene classifier toolkit")
     common = _Parser(add_help=False)
-    common.add_argument("--threads", type=int, default=None, help="cap BLAS thread count")
+    common.add_argument("--threads", type=int, default=None,
+                        help="threads that eval and predict run their infer chunks on (default: the usable "
+                             "cores); BLAS and train run on one thread; no output depends on it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", parents=[common], help="per-layer parameter/MAC/FLOP report")

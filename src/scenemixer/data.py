@@ -79,6 +79,19 @@ def excerpt(value) -> str:
     return f"{value[:EXCERPT_LEN]!r} (first {EXCERPT_LEN} of {len(value):,})"
 
 
+EXCERPT_ITEMS = 16
+
+
+def excerpt_list(values) -> str:
+    """A list of str or bytes values from outside the program, for an error
+    message: like `str(list)`, but each item through `excerpt`, and past
+    EXCERPT_ITEMS items only the first EXCERPT_ITEMS and the list's length."""
+    shown = ", ".join(excerpt(v) for v in values[:EXCERPT_ITEMS])
+    if len(values) <= EXCERPT_ITEMS:
+        return f"[{shown}]"
+    return f"[{shown}, ...] (first {EXCERPT_ITEMS} of {len(values):,})"
+
+
 # ---------------------------------------------------------------------------
 # PPM codec (binary "P6", maxval 255)
 

@@ -23,6 +23,7 @@ ufuncs, so each call allocates only the arrays it returns or caches.
 
 import contextlib
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,10 +83,12 @@ class MulCounter:
     def __init__(self):
         self.total = 0
         self.by_layer = {}
+        self._lock = threading.Lock()  # the threads of a pooled infer forward record into one counter
 
     def add(self, layer: str, n: int):
-        self.total += n
-        self.by_layer[layer] = self.by_layer.get(layer, 0) + n
+        with self._lock:
+            self.total += n
+            self.by_layer[layer] = self.by_layer.get(layer, 0) + n
 
 
 _ACTIVE_COUNTER = None

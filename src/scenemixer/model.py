@@ -5,9 +5,10 @@ pooling -> dense -> softmax. A mixer block runs one depthwise branch per
 configured kernel size on the same input, merges the branches by
 elementwise sum, then pointwise conv, GELU and batch normalization. An
 infer-mode forward runs the whole graph over chunks of about 1 MiB of
-block activation, so they stay in a core's L2 cache, and an image's
-probabilities do not depend on its batch or chunk; a train-mode forward
-runs the whole batch at once.
+block activation, so they stay in a core's L2 cache, optionally on a pool
+of threads, and an image's probabilities do not depend on its batch, its
+chunk or the thread count; a train-mode forward runs the whole batch at
+once.
 
 Checkpoints use a small binary container (magic "SMXC"): little-endian
 u32 version, u32-length-prefixed UTF-8 config block of key=value lines,
@@ -20,12 +21,13 @@ target, so a failed save leaves the earlier file intact.
 
 import math
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import layers
-from .data import check_class_name, excerpt
+from .data import check_class_name, excerpt, excerpt_list
 from .fileio import write_atomic
 from .layers import BatchNormState, ConvParams, LayerCache
 from .numerics import ShapeError, Tensor
@@ -340,15 +342,19 @@ def _block_backward(model: SceneMixerModel, i: int, cache: BlockCache, dout: Ten
     return dinput
 
 
-def forward(model: SceneMixerModel, x: Tensor, mode: str):
+def forward(model: SceneMixerModel, x: Tensor, mode: str, threads: int = 1):
     """Run the network. Returns (probs, caches); caches is None in infer mode.
 
     Infer mode runs the whole network over consecutive chunks of the
     batch, each sized so that one block activation fits in
-    `_INFER_CHUNK_BYTES`. The head contracts without BLAS, so an image's
-    probabilities do not depend on its batch or chunk. Train mode runs the
-    whole batch at once, because batch norm normalizes with the statistics
-    of the batch.
+    `_INFER_CHUNK_BYTES`, on a pool of `min(threads, chunks)` threads; one
+    thread runs the chunks in order and starts no pool. The chunk size
+    does not depend on `threads`, and the head contracts without BLAS, so
+    an image's probabilities depend neither on its batch, nor on its chunk,
+    nor on `threads`. Peak memory grows by about one chunk's working set
+    per extra thread. Train mode runs the whole batch at once, on the
+    calling thread, because batch norm normalizes with the statistics of
+    the batch.
     """
     cfg = model.config
     if x.ndim != 4 or x.shape[1:] != (cfg.input_h, cfg.input_w, cfg.input_c):
@@ -358,14 +364,28 @@ def forward(model: SceneMixerModel, x: Tensor, mode: str):
         )
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     x = x.astype(model.dtype, copy=False)
     if mode == "train":
         return _network(model, x, mode)
     chunk = max(1, _INFER_CHUNK_BYTES // (cfg.tokens * cfg.embed_dim * x.itemsize))
     probs = np.empty((x.shape[0], cfg.num_classes), model.dtype)
-    # the helper, not `forward` itself: a tracer that wraps `forward` would count each image twice
-    for start in range(0, x.shape[0], chunk):
+
+    def run(start):
+        # the helper, not `forward` itself: a tracer that wraps `forward` would count each image twice
         probs[start : start + chunk] = _network(model, x[start : start + chunk], mode)[0]
+
+    starts = range(0, x.shape[0], chunk)
+    workers = min(threads, len(starts))
+    if workers <= 1:
+        for start in starts:
+            run(start)
+    else:
+        # an infer-mode `_network` only reads the model, and each chunk writes its own rows
+        with ThreadPoolExecutor(workers) as pool:
+            for _ in pool.map(run, starts):  # re-raises the first chunk's exception here
+                pass
     return probs, None
 
 
@@ -397,9 +417,9 @@ def backward(model: SceneMixerModel, caches: ForwardCaches, dlogits: Tensor):
     return grads, dx
 
 
-def predict(model: SceneMixerModel, x: Tensor) -> np.ndarray:
-    """Infer-mode argmax labels; ties resolve to the lowest class index."""
-    probs, _ = forward(model, x, "infer")
+def predict(model: SceneMixerModel, x: Tensor, threads: int = 1) -> np.ndarray:
+    """Infer-mode argmax labels over `threads` threads; ties resolve to the lowest class index."""
+    probs, _ = forward(model, x, "infer", threads)
     return np.argmax(probs, axis=1)
 
 
@@ -483,11 +503,11 @@ def load(path) -> SceneMixerModel:
     for _ in range(count):
         name = r.text("tensor name")
         if name in tensors:
-            raise CheckpointError(f"duplicate tensor {name!r} in checkpoint")
+            raise CheckpointError(f"duplicate tensor {excerpt(name)} in checkpoint")
         shape = r.u64s(r.u32())
         if 0 in shape:
             # no tensor of any config is empty, and numpy rejects (0, 2**63)
-            raise CheckpointError(f"tensor {name}: zero extent in shape {shape}")
+            raise CheckpointError(f"tensor {excerpt(name)}: zero extent in shape {shape}")
         size = math.prod(shape)  # Python ints: forged extents cannot wrap to a small count
         tensors[name] = np.frombuffer(r.take(4 * size), dtype="<f4").reshape(shape)
     if r.pos != len(blob):
@@ -504,8 +524,8 @@ def load(path) -> SceneMixerModel:
     model = build(config, seed=0)
     expected = model.all_tensors()
     if set(tensors) != set(expected):
-        missing = sorted(set(expected) - set(tensors))
-        extra = sorted(set(tensors) - set(expected))
+        missing = excerpt_list(sorted(set(expected) - set(tensors)))
+        extra = excerpt_list(sorted(set(tensors) - set(expected)))
         raise CheckpointError(f"tensor set disagrees with embedded config: missing {missing}, unexpected {extra}")
     for name, t in expected.items():
         if tensors[name].shape != t.shape:

@@ -246,6 +246,38 @@ def test_threads_do_not_change_output_bytes(tmp_path, tiny_dataset, tiny_config)
     assert outputs[0] == outputs[1]
 
 
+def test_eval_and_predict_bytes_do_not_depend_on_the_infer_pool(tmp_path, tiny_dataset, monkeypatch, capsys):
+    # a 16x16x128 grid is 128 KiB of float32 per image, so a chunk holds 8
+    # images and the 24 training images run as 3 chunks
+    text = TINY_CONFIG_TEXT.replace("patch=4", "patch=1").replace("embed_dim=8", "embed_dim=128")
+    net = sm.build(sm.parse_config_text(text)[0], seed=0)
+    net.class_names = dm.load_dataset(tiny_dataset).class_names
+    model = tmp_path / "m.smxc"
+    sm.save(net, model)
+    outputs = {}
+    for threads in ("1", "2", None):
+        tag = threads or "default"
+        flag = ["--threads", threads] if threads else []
+        assert run_inproc(["eval", "--model", str(model), "--data", str(tiny_dataset), "--split", "train",
+                           "--seed", "3", "--confusion", str(tmp_path / f"cm_{tag}.csv"),
+                           "--metrics", str(tmp_path / f"metrics_{tag}.csv"), *flag]) == 0
+        outputs[tag] = ((tmp_path / f"cm_{tag}.csv").read_bytes(), (tmp_path / f"metrics_{tag}.csv").read_bytes())
+    assert outputs["1"] == outputs["2"] == outputs["default"]
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-chunk forward started a thread pool")
+
+    # one image is one chunk, so predict runs it on the calling thread
+    monkeypatch.setattr(sm, "ThreadPoolExecutor", no_pool)
+    image = str(next((tiny_dataset / "01_checkerboard").glob("*.ppm")))
+    capsys.readouterr()
+    labels = []
+    for flag in (["--threads", "1"], ["--threads", "2"], []):
+        assert run_inproc(["predict", "--model", str(model), "--image", image, *flag]) == 0
+        labels.append(capsys.readouterr().out)
+    assert labels[0] in [f"{name}\n" for name in net.class_names] and labels == labels[:1] * 3
+
+
 @pytest.mark.parametrize("command", ["split", "train"])
 def test_format_breaking_class_folder_is_runtime_error(tmp_path, tiny_dataset, tiny_config, command, capsys):
     (tiny_dataset / "00_stripes_horizontal").rename(tiny_dataset / "a,b")
@@ -430,6 +462,21 @@ def test_eval_on_class_folders_other_than_the_checkpoints_is_runtime_error(tmp_p
     out = capsys.readouterr()
     assert str(trained) in out.err and str(dm.load_dataset(tiny_dataset).class_names) in out.err
     assert out.out == "" and not cm.exists()
+
+
+def test_eval_class_name_mismatch_message_stays_bounded(tmp_path, capsys):
+    data = tmp_path / "data"
+    dm.write_dataset(dm.synth_generate(2, 4, side=16, seed=5), data)
+    config, _ = sm.parse_config_text(TINY_CONFIG_TEXT.replace("num_classes=3", "num_classes=2"))
+    net = sm.build(config, seed=0)
+    net.class_names = ["a" * 500_000, "b" * 500_000]
+    sm.save(net, tmp_path / "m.smxc")
+    capsys.readouterr()
+    assert run_inproc(["eval", "--model", str(tmp_path / "m.smxc"), "--data", str(data), "--split", "train"]) == 2
+    err = capsys.readouterr().err
+    message = err[err.index("error: "):]
+    assert len(message) < 2000 and "first differ at index 0" in message, message[:2000]
+    assert "'aaa" in message and "'bbb" in message and "(first 64 of 500,000)" in message
 
 
 def test_eval_class_count_mismatch_fails(tmp_path, tiny_dataset, tiny_config, capsys):

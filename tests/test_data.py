@@ -410,3 +410,11 @@ def test_apply_split_csv_error_quotes_a_bounded_excerpt(rows, pattern):
     with pytest.raises(ValueError) as info:
         dm.apply_split_csv(manifest, text)
     assert_bounded_excerpt(info.value, pattern)
+
+
+def test_excerpt_list_reads_like_a_list_and_stays_bounded():
+    assert dm.excerpt_list(["a", "b"]) == str(["a", "b"])
+    assert dm.excerpt_list([]) == "[]"
+    text = dm.excerpt_list(["x" * MEGABYTE] * 1000)
+    assert text.endswith(", ...] (first 16 of 1,000)") and text.count("(first 64 of 1,048,576)") == 16
+    assert len(text) < 2000

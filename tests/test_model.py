@@ -120,9 +120,59 @@ def test_chunked_infer_counts_each_image_once(rng):
     cfg = sm.ModelConfig.eurosat_default()
     net = sm.build(cfg, seed=0)
     x = rng.random((20, 64, 64, 3), dtype=np.float32)
-    with layers.count_multiplies() as counter:
-        sm.forward(net, x, "infer")
-    assert counter.total == 20 * analyzer.cost_report(cfg).total_macs
+    for threads in (1, 2):  # the pool's threads record into one counter
+        with layers.count_multiplies() as counter:
+            sm.forward(net, x, "infer", threads=threads)
+        assert counter.total == 20 * analyzer.cost_report(cfg).total_macs, threads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pooled_infer_forward_matches_serial(rng, dtype):
+    """The chunk size does not depend on the thread count, so pooled
+    probabilities are byte-equal to serial ones, including a 1-image and a
+    single-chunk batch."""
+    net = sm.build(sm.ModelConfig.eurosat_default(), seed=0, dtype=dtype)
+    x = rng.random((64, 64, 64, 3)).astype(dtype)
+    for n in (1, 7, 8, 9, 20, 64):
+        serial, _ = sm.forward(net, x[:n], "infer", threads=1)
+        for threads in (2, 3):
+            pooled, _ = sm.forward(net, x[:n], "infer", threads=threads)
+            assert pooled.dtype == dtype and pooled.tobytes() == serial.tobytes(), (n, threads)
+
+
+def test_pooled_infer_forward_raises_a_chunks_exception(rng, monkeypatch):
+    net = sm.build(sm.ModelConfig.eurosat_default(), seed=0)
+    x = rng.random((20, 64, 64, 3), dtype=np.float32)
+    x[16, 0, 0, 0] = -1.0  # the first image of the third 8-image chunk
+    real_embed = layers.patch_embed_forward
+
+    def embed(xb, p):
+        if xb[0, 0, 0, 0] == -1.0:
+            raise RuntimeError("chunk at image 16 failed")
+        return real_embed(xb, p)
+
+    monkeypatch.setattr(layers, "patch_embed_forward", embed)
+    with pytest.raises(RuntimeError, match="chunk at image 16 failed"):
+        sm.forward(net, x, "infer", threads=2)
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        sm.forward(net, x, "infer", threads=0)
+
+
+def test_pooled_infer_forward_peaks_at_one_chunk_per_thread(rng):
+    # each pool thread holds one chunk's working set, which peaks at about 6.05
+    # (8, 16, 16, 128) float32 activations in the serial forward
+    net = sm.build(sm.ModelConfig.eurosat_default(), seed=0)
+    x = rng.random((64, 64, 64, 3), dtype=np.float32)
+    threads = 2
+    sm.forward(net, x, "infer", threads=threads)  # the first call also allocates numpy's one-time state
+    tracemalloc.start()
+    try:
+        sm.forward(net, x, "infer", threads=threads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    activations = peak / (8 * 16 * 16 * 128 * 4)
+    assert activations <= threads * 6.25, f"peak of {activations:.2f} activations"
 
 
 def test_zero_images_give_empty_probs_and_labels():
@@ -541,6 +591,31 @@ def test_checkpoint_duplicate_tensor_rejected(tmp_path):
     path.write_bytes(blob[:end] + struct.pack("<I", count + 1) + blob[end + 4 :] + record)
     with pytest.raises(sm.CheckpointError, match="duplicate tensor 'embed.weights'"):
         sm.load(path)
+
+
+def _renamed_first_tensor(blob, name: bytes):
+    """blob with its first tensor, embed.weights, renamed to name."""
+    at = blob.index(b"embed.weights")
+    return blob[: at - 4] + struct.pack("<I", len(name)) + name + blob[at + len(b"embed.weights") :]
+
+
+def test_checkpoint_forged_tensor_names_are_quoted_as_excerpts(tmp_path):
+    path, blob = _saved_blob(tmp_path)
+    forged = b"x" * MEGABYTE
+    renamed = _renamed_first_tensor(blob, forged)
+    path.write_bytes(renamed)
+    with pytest.raises(sm.CheckpointError) as exc:
+        sm.load(path)
+    assert_bounded_excerpt(exc.value, r"missing \['embed.weights'\], unexpected \['xxx")
+    # the same name once more, as a second record after the genuine tensors
+    _, end = _config_span(renamed)
+    (count,) = struct.unpack_from("<I", renamed, end)
+    record = (struct.pack("<I", len(forged)) + forged + struct.pack("<I4Q", 4, 2, 2, 1, 2)
+              + np.full(8, 7.0, dtype="<f4").tobytes())
+    path.write_bytes(renamed[:end] + struct.pack("<I", count + 1) + renamed[end + 4 :] + record)
+    with pytest.raises(sm.CheckpointError) as exc:
+        sm.load(path)
+    assert_bounded_excerpt(exc.value, "duplicate tensor 'xxx")
 
 
 def test_checkpoint_non_utf8_tensor_name_rejected(tmp_path):
