@@ -2,12 +2,12 @@
 
 Exit codes: 0 success, 1 usage error, 2 runtime error. Every run echoes
 its resolved settings to stderr before acting; primary results go to
-stdout. `--threads` sets the size of the thread pool that `eval` and
-`predict` run their infer chunks on (default: the usable cores); results
-do not depend on it. `train` runs on one thread. Every command pins BLAS
-to one thread, so pool threads do not oversubscribe the cores; BLAS reads
-that setting when numpy is first imported, which is why the
-implementation modules are imported inside the handlers.
+stdout. `--threads` sets the size of the thread pool that `train`, `eval`
+and `predict` run their chunks of images on (default and upper bound: the
+usable cores); results do not depend on it. Every command pins BLAS to one
+thread, so pool threads do not oversubscribe the cores; BLAS reads that
+setting when numpy is first imported, which is why the implementation
+modules are imported inside the handlers.
 """
 
 import argparse
@@ -32,17 +32,15 @@ def _echo_settings(args):
             print(f"resolved: {key}={value}", file=sys.stderr)
 
 
-def _apply_threads(threads):
-    """Check --threads and pin BLAS to one thread; the thread count is the infer pool's."""
+def _resolve_threads(threads):
+    """The pool size of --threads: the usable cores when None, and never more
+    than them. Also pins BLAS to one thread."""
     if threads is not None and threads < 1:
         raise _UsageError(f"--threads must be >= 1, got {threads}")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
-
-
-def _pool_threads(threads):
-    """The infer pool size: --threads, or else the number of usable cores."""
-    return threads if threads is not None else len(os.sched_getaffinity(0))
+    cores = len(os.sched_getaffinity(0))
+    return cores if threads is None else min(threads, cores)
 
 
 def _resolve_model_config(spec: str):
@@ -149,7 +147,7 @@ def _cmd_eval(args):
     net = model_mod.load(args.model)
     manifest = _load_split_dataset(args.data, args.manifest, args.seed, net.config.num_classes, net.class_names)
     x, y = data_mod.split_arrays(manifest, args.split, net.config.input_h, net.config.input_w)
-    pred = model_mod.predict(net, x, _pool_threads(args.threads))
+    pred = model_mod.predict(net, x)
     cm = metrics_mod.confusion(y, pred, manifest.num_classes, class_names=manifest.class_names)
     summary = metrics_mod.metrics_summary(cm)
     print(f"OA: {summary['OA'] * 100:.2f}%")
@@ -169,7 +167,7 @@ def _cmd_predict(args):
 
     net = model_mod.load(args.model)
     img = data_mod.load_image(args.image, net.config.input_h, net.config.input_w)
-    label = int(model_mod.predict(net, img[None, :, :, :], _pool_threads(args.threads))[0])
+    label = int(model_mod.predict(net, img[None, :, :, :])[0])
     names = net.class_names or [f"class_{i}" for i in range(net.config.num_classes)]
     print(names[label])
     return 0
@@ -179,8 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="scenemixer", description="Convolutional mixer scene classifier toolkit")
     common = _Parser(add_help=False)
     common.add_argument("--threads", type=int, default=None,
-                        help="threads that eval and predict run their infer chunks on (default: the usable "
-                             "cores); BLAS and train run on one thread; no output depends on it")
+                        help="threads that train, eval and predict run their chunks of images on (default "
+                             "and upper bound: the usable cores); BLAS runs on one; no output depends on it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", parents=[common], help="per-layer parameter/MAC/FLOP report")
@@ -237,7 +235,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_threads(args.threads)
+        args.threads = _resolve_threads(args.threads)
         if getattr(args, "seed", 0) < 0:
             raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     except _UsageError as exc:
@@ -247,7 +245,10 @@ def main(argv=None) -> int:
         return 0 if not exc.code else 1
     try:
         _echo_settings(args)
-        return args.func(args)
+        from . import model as model_mod
+
+        with model_mod.use_threads(args.threads):
+            return args.func(args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

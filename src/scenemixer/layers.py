@@ -17,14 +17,17 @@ measured); float64 inputs, which the gradient checks use, take it from the
 standard library's `math.erfc`, element by element. A train-mode GELU caches
 only its derivative cdf + x pdf; an infer-mode one caches nothing. In infer
 mode batch norm is one scale and shift per channel, x (gamma inv) +
-(beta - mean gamma inv). GELU and batch norm build their outputs with in-place
-ufuncs, so each call allocates only the arrays it returns or caches.
+(beta - mean gamma inv). A train-mode batch norm also takes a batch in chunks,
+with statistics merged from the chunks' moments (see its section). GELU and
+batch norm build their outputs with in-place ufuncs, so each call allocates
+only the arrays it returns or caches, and a train-mode moment pass one more.
 """
 
 import contextlib
 import math
 import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -63,7 +66,8 @@ class LayerCache:
     consumed: bool = False
 
 
-def _consume(cache: LayerCache, layer: str, upstream: Tensor) -> dict:
+def _check_cache(cache: LayerCache, layer: str, upstream: Tensor) -> dict:
+    """cache.saved, once cache is an unconsumed `layer` cache for upstream's shape."""
     if cache.layer != layer:
         raise ValueError(f"cache from {cache.layer!r} passed to {layer}_backward")
     if cache.consumed:
@@ -72,8 +76,13 @@ def _consume(cache: LayerCache, layer: str, upstream: Tensor) -> dict:
         raise ShapeError(
             f"{layer}_backward: upstream shape {tuple(upstream.shape)} != forward output shape {cache.out_shape}"
         )
-    cache.consumed = True
     return cache.saved
+
+
+def _consume(cache: LayerCache, layer: str, upstream: Tensor) -> dict:
+    saved = _check_cache(cache, layer, upstream)
+    cache.consumed = True
+    return saved
 
 
 # ---------------------------------------------------------------------------
@@ -352,28 +361,79 @@ def gelu_backward(cache: LayerCache, upstream: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # batch normalization over (n, y, x) per channel
+#
+# A train-mode batch may arrive in chunks. Each chunk's `batch_norm_moments`
+# are merged in chunk order by `batch_norm_statistics`, which updates the
+# running statistics once; `batch_norm_forward(chunk, s, "train", stats)`
+# then normalizes each chunk with the statistics of the whole batch. The
+# backward mirrors it: `batch_norm_partials` of each chunk, summed in chunk
+# order, are the whole batch's dgamma and dbeta, which
+# `batch_norm_backward(cache, upstream, sums)` takes for each chunk's dx.
+# Without `stats` or `sums` the call is the one-chunk case: x is the batch.
 
-def batch_norm_forward(x: Tensor, s: BatchNormState, mode: str):
+
+class Moments(NamedTuple):
+    """Per-channel element count, mean and sum of squared deviations from the mean."""
+
+    count: int
+    mean: Tensor
+    m2: Tensor
+
+
+def batch_norm_moments(x: Tensor) -> Moments:
+    """Moments of x over (n, y, x), per channel."""
+    flat = x.reshape(-1, x.shape[-1])
+    mean = flat.mean(axis=0)
+    dev = flat - mean
+    np.multiply(dev, dev, out=dev)
+    return Moments(flat.shape[0], mean, dev.sum(axis=0))
+
+
+def merge_moments(parts) -> Moments:
+    """Moments of the union of disjoint chunks, merged pairwise in order
+    (Chan, Golub & LeVeque, "Algorithms for computing the sample variance", 1983)."""
+    total = parts[0]
+    for b in parts[1:]:
+        count = total.count + b.count
+        delta = b.mean - total.mean
+        mean = total.mean + delta * (b.count / count)
+        m2 = total.m2 + b.m2
+        m2 += delta * delta * (total.count * b.count / count)
+        total = Moments(count, mean, m2)
+    return total
+
+
+def batch_norm_statistics(s: BatchNormState, parts):
+    """(count, mean, inv) of a train-mode batch from the moments of its chunks,
+    in order; updates s's running statistics once."""
+    m = sum(p.count for p in parts)
+    if m < 2:
+        raise ValueError(f"batch_norm train mode needs >= 2 elements per channel, got {m}")
+    moments = merge_moments(parts)
+    var = moments.m2 / m  # biased estimator, as np.var computes it
+    inv = 1.0 / np.sqrt(var + s.epsilon)
+    s.running_mean[:] = s.momentum * s.running_mean + (1.0 - s.momentum) * moments.mean
+    s.running_var[:] = s.momentum * s.running_var + (1.0 - s.momentum) * var
+    return m, moments.mean, inv
+
+
+def batch_norm_forward(x: Tensor, s: BatchNormState, mode: str, stats=None):
+    """Normalize x. In train mode, stats are the `batch_norm_statistics` of
+    the batch that x is a chunk of; without them x is the whole batch."""
     _check_mode("batch_norm", mode)
     n, h, w, c = x.shape
     if s.gamma.shape != (c,):
         raise ShapeError(f"batch norm state has {s.gamma.shape[0]} channels, input has {c}")
     flat = x.reshape(-1, c)
     if mode == "train":
-        m = n * h * w
-        if m < 2:
-            raise ValueError(f"batch_norm train mode needs >= 2 elements per channel, got {m}")
-        mean = flat.mean(axis=0)
+        if stats is None:  # an empty x has no mean, and batch_norm_statistics refuses its count
+            stats = batch_norm_statistics(s, [batch_norm_moments(x)] if flat.shape[0] else [])
+        count, mean, inv = stats
         xhat = flat - mean
-        out = np.multiply(xhat, xhat)  # squared deviations, until it holds the output
-        var = out.sum(axis=0) / m  # biased estimator, as np.var computes it
-        inv = 1.0 / np.sqrt(var + s.epsilon)
-        s.running_mean[:] = s.momentum * s.running_mean + (1.0 - s.momentum) * mean
-        s.running_var[:] = s.momentum * s.running_var + (1.0 - s.momentum) * var
         xhat *= inv
-        np.multiply(xhat, s.gamma, out=out)
+        out = np.multiply(xhat, s.gamma)
         out += s.beta
-        saved = {"xhat": xhat.reshape(x.shape), "inv": inv, "gamma": s.gamma, "mode": mode}
+        saved = {"xhat": xhat.reshape(x.shape), "inv": inv, "gamma": s.gamma, "count": count, "mode": mode}
     else:
         # one scale and one shift per channel: x (gamma inv) + (beta - mean gamma inv)
         inv = 1.0 / np.sqrt(s.running_var + s.epsilon)
@@ -386,7 +446,24 @@ def batch_norm_forward(x: Tensor, s: BatchNormState, mode: str):
     return out, LayerCache("batch_norm", out.shape, saved)
 
 
-def batch_norm_backward(cache: LayerCache, upstream: Tensor):
+def _bn_sums(u: Tensor, xh: Tensor):
+    """(sum u xhat, sum u) per channel: dgamma and dbeta."""
+    return np.einsum("ij,ij->j", u, xh), u.sum(axis=0)
+
+
+def batch_norm_partials(cache: LayerCache, upstream: Tensor):
+    """A train-mode chunk's share of (dgamma, dbeta); reads the cache without consuming it."""
+    saved = _check_cache(cache, "batch_norm", upstream)
+    if saved["mode"] != "train":
+        raise ValueError("batch_norm_partials needs a train-mode cache")
+    c = saved["gamma"].shape[0]
+    return _bn_sums(upstream.reshape(-1, c), saved["xhat"].reshape(-1, c))
+
+
+def batch_norm_backward(cache: LayerCache, upstream: Tensor, sums=None):
+    """(dx, dgamma, dbeta). In train mode, sums are the (dgamma, dbeta) of the
+    whole batch, summed from `batch_norm_partials`; without them the cache's
+    chunk is the whole batch."""
     saved = _consume(cache, "batch_norm", upstream)
     inv, gamma = saved["inv"], saved["gamma"]
     c = gamma.shape[0]
@@ -396,10 +473,9 @@ def batch_norm_backward(cache: LayerCache, upstream: Tensor):
     else:  # the infer forward never forms xhat
         xh = saved["x"].reshape(-1, c) - saved["mean"]
         xh *= inv
-    dgamma = np.einsum("ij,ij->j", u, xh)
-    dbeta = u.sum(axis=0)
+    dgamma, dbeta = sums if sums is not None else _bn_sums(u, xh)
     if saved["mode"] == "train":
-        m = u.shape[0]
+        m = saved["count"]
         # full backward through the batch statistics:
         # dx = gamma * inv * (upstream - (dbeta + xhat * dgamma) / m)
         dx = np.multiply(xh, dgamma / m)

@@ -3,12 +3,14 @@
 The graph is: patch embedding -> depth x mixer block -> global average
 pooling -> dense -> softmax. A mixer block runs one depthwise branch per
 configured kernel size on the same input, merges the branches by
-elementwise sum, then pointwise conv, GELU and batch normalization. An
-infer-mode forward runs the whole graph over chunks of about 1 MiB of
-block activation, so they stay in a core's L2 cache, optionally on a pool
-of threads, and an image's probabilities do not depend on its batch, its
-chunk or the thread count; a train-mode forward runs the whole batch at
-once.
+elementwise sum, then pointwise conv, GELU and batch normalization.
+`forward` and `backward` run the graph over chunks of about 1 MiB of block
+activation, so they stay in a core's L2 cache, on a pool of as many
+threads as `use_threads` allows. In infer mode each chunk runs the whole
+graph, and an image's probabilities do not depend on its batch, its chunk
+or the thread count. In train mode the chunks meet at each batch norm,
+whose statistics are merged from theirs in chunk order, and nothing a step
+computes depends on the thread count.
 
 Checkpoints use a small binary container (magic "SMXC"): little-endian
 u32 version, u32-length-prefixed UTF-8 config block of key=value lines,
@@ -19,10 +21,12 @@ for any file that is not such a container for the config it embeds.
 target, so a failed save leaves the earlier file intact.
 """
 
+import contextlib
+import functools
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor, wait
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,9 +38,9 @@ from .numerics import ShapeError, Tensor
 
 CHECKPOINT_MAGIC = b"SMXC"
 CHECKPOINT_VERSION = 1
-# bytes of one block activation per infer-mode chunk: the chunk's activations stay
-# in a core's L2 cache across the ~10 passes a block makes over them
-_INFER_CHUNK_BYTES = 1 << 20
+# bytes of one block activation per chunk of a forward or backward: the chunk's
+# activations stay in a core's L2 cache across the ~10 passes a block makes over them
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass
@@ -285,28 +289,84 @@ def build(config: ModelConfig, seed: int, dtype=np.float32) -> SceneMixerModel:
     return SceneMixerModel(config, params, bn_states)
 
 
+class _Threads:
+    """The thread count of the innermost `use_threads`, and the pool it starts on first use."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.pool = None
+
+
+_THREADS = _Threads(1)
+
+
+@contextlib.contextmanager
+def use_threads(n: int):
+    """Run every `forward` and `backward` inside on up to n threads; outside, they run on one.
+
+    The pool starts when a call first has more than one chunk, and it serves
+    every later call inside. On a 2-core host beside a busy process, a pool
+    per call raised the peak RSS of 12 bench-config train commands in one
+    process from 191-196 to 257-260 MB, and after 8 commands it had left 4
+    glibc malloc arenas instead of 3.
+    """
+    global _THREADS
+    if n < 1:
+        raise ValueError(f"threads must be >= 1, got {n}")
+    prev, _THREADS = _THREADS, _Threads(n)
+    try:
+        yield
+    finally:
+        if _THREADS.pool is not None:
+            _THREADS.pool.shutdown()
+        _THREADS = prev
+
+
+def _map_chunks(fn, items) -> list:
+    """[fn(item) for item in items], on the pool of `use_threads` when there
+    are more than one item and thread. Every call has finished when this
+    returns, or raises the exception of the first item that failed."""
+    items, threads = list(items), _THREADS
+    if min(threads.n, len(items)) <= 1:
+        return [fn(item) for item in items]
+    if threads.pool is None:
+        threads.pool = ThreadPoolExecutor(threads.n)
+    futures = [threads.pool.submit(fn, item) for item in items]
+    wait(futures)
+    return [f.result() for f in futures]
+
+
 @dataclass
 class BlockCache:
-    """Layer caches of one train-mode mixer block."""
+    """Layer caches of one train-mode mixer block over one chunk."""
 
     dw: list  # one depthwise cache per kernel, in config order
     pw: LayerCache
     gelu: LayerCache
-    bn: LayerCache
+    bn: LayerCache = None  # set once the batch's statistics are merged
+
+
+@dataclass
+class ChunkCaches:
+    """Layer caches of one chunk of a train-mode forward, in graph order."""
+
+    rows: slice  # the chunk's images in the batch
+    embed: LayerCache = None
+    blocks: list = field(default_factory=list)  # one BlockCache per block
+    gap: LayerCache = None
 
 
 @dataclass
 class ForwardCaches:
-    """Per-layer caches from one train-mode forward, in graph order."""
+    """Per-chunk caches from one train-mode forward, plus the head's over the whole batch."""
 
-    embed: LayerCache
-    blocks: list  # one BlockCache per block
-    gap: LayerCache
+    chunks: list  # one ChunkCaches per chunk, in batch order
     dense: LayerCache
 
 
-def _block_forward(model: SceneMixerModel, i: int, t: Tensor, mode: str):
-    """Mixer block i on t: (output, BlockCache in train mode or None in infer mode)."""
+def _mix(model: SceneMixerModel, i: int, t: Tensor, mode: str):
+    """Mixer block i on t up to its batch norm: depthwise branches, merge by sum,
+    pointwise and GELU. Returns (GELU output, BlockCache without bn in train mode or None)."""
     merged, dw_caches = None, []
     for k in model.config.kernels:
         branch, c = layers.depthwise_conv_forward(t, model.conv(f"block{i}.dw{k}"))
@@ -318,13 +378,11 @@ def _block_forward(model: SceneMixerModel, i: int, t: Tensor, mode: str):
         dw_caches.append(c)
     h, pw_cache = layers.pointwise_conv_forward(merged, model.conv(f"block{i}.pw"))
     g, gelu_cache = layers.gelu_forward(h, mode)
-    b, bn_cache = layers.batch_norm_forward(g, model.bn_states[i], mode)
-    return b, (BlockCache(dw_caches, pw_cache, gelu_cache, bn_cache) if mode == "train" else None)
+    return g, (BlockCache(dw_caches, pw_cache, gelu_cache) if mode == "train" else None)
 
 
-def _block_backward(model: SceneMixerModel, i: int, cache: BlockCache, dout: Tensor, grads: dict) -> Tensor:
-    """Write block i's gradients into grads; return d(loss)/d(block input)."""
-    dg, grads[f"block{i}.bn.gamma"], grads[f"block{i}.bn.beta"] = layers.batch_norm_backward(cache.bn, dout)
+def _mix_backward(model: SceneMixerModel, i: int, cache: BlockCache, dg: Tensor, grads: dict) -> Tensor:
+    """Write block i's GELU, pointwise and depthwise gradients into grads; return d(loss)/d(block input)."""
     dh = layers.gelu_backward(cache.gelu, dg)
     dmerged, grads[f"block{i}.pw.weights"], grads[f"block{i}.pw.bias"] = layers.pointwise_conv_backward(
         cache.pw, dh
@@ -342,19 +400,32 @@ def _block_backward(model: SceneMixerModel, i: int, cache: BlockCache, dout: Ten
     return dinput
 
 
-def forward(model: SceneMixerModel, x: Tensor, mode: str, threads: int = 1):
+def _sum_in_order(parts: list):
+    """parts[0] + parts[1] + ..., left to right, accumulated into parts[0]."""
+    total = parts[0]
+    for p in parts[1:]:
+        total += p
+    return total
+
+
+def forward(model: SceneMixerModel, x: Tensor, mode: str):
     """Run the network. Returns (probs, caches); caches is None in infer mode.
 
-    Infer mode runs the whole network over consecutive chunks of the
-    batch, each sized so that one block activation fits in
-    `_INFER_CHUNK_BYTES`, on a pool of `min(threads, chunks)` threads; one
-    thread runs the chunks in order and starts no pool. The chunk size
-    does not depend on `threads`, and the head contracts without BLAS, so
-    an image's probabilities depend neither on its batch, nor on its chunk,
-    nor on `threads`. Peak memory grows by about one chunk's working set
-    per extra thread. Train mode runs the whole batch at once, on the
-    calling thread, because batch norm normalizes with the statistics of
-    the batch.
+    Both modes run the network over consecutive chunks of the batch, each
+    sized so that one block activation fits in `_CHUNK_BYTES`, on the
+    threads of `use_threads`, at most `min(threads, chunks)` at a time; one
+    thread or one chunk runs on the calling thread and starts no pool. The
+    chunk size does not depend on the thread count, and the head contracts
+    without BLAS, so the result does not depend on the thread count either.
+
+    Infer mode runs the whole network per chunk, so an image's
+    probabilities depend neither on its batch nor on its chunk. Peak
+    memory grows by about one chunk's working set per extra thread.
+
+    Train mode normalizes with the statistics of the whole batch, so the
+    chunks meet at each batch norm: the calling thread merges the chunks'
+    moments in chunk order and updates the running statistics once. A batch
+    of one chunk computes what a whole-batch step does, bit for bit.
     """
     cfg = model.config
     if x.ndim != 4 or x.shape[1:] != (cfg.input_h, cfg.input_w, cfg.input_c):
@@ -364,62 +435,111 @@ def forward(model: SceneMixerModel, x: Tensor, mode: str, threads: int = 1):
         )
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     x = x.astype(model.dtype, copy=False)
+    chunk = max(1, _CHUNK_BYTES // (cfg.tokens * cfg.embed_dim * x.itemsize))
+    n = x.shape[0]
+    rows = [slice(start, min(start + chunk, n)) for start in range(0, n, chunk)]
     if mode == "train":
-        return _network(model, x, mode)
-    chunk = max(1, _INFER_CHUNK_BYTES // (cfg.tokens * cfg.embed_dim * x.itemsize))
-    probs = np.empty((x.shape[0], cfg.num_classes), model.dtype)
+        return _train_forward(model, x, rows)
+    probs = np.empty((n, cfg.num_classes), model.dtype)
 
-    def run(start):
-        # the helper, not `forward` itself: a tracer that wraps `forward` would count each image twice
-        probs[start : start + chunk] = _network(model, x[start : start + chunk], mode)[0]
+    def run(r):
+        # each chunk writes its own rows; an infer-mode network only reads the model
+        probs[r] = _infer_network(model, x[r])
 
-    starts = range(0, x.shape[0], chunk)
-    workers = min(threads, len(starts))
-    if workers <= 1:
-        for start in starts:
-            run(start)
-    else:
-        # an infer-mode `_network` only reads the model, and each chunk writes its own rows
-        with ThreadPoolExecutor(workers) as pool:
-            for _ in pool.map(run, starts):  # re-raises the first chunk's exception here
-                pass
+    _map_chunks(run, rows)
     return probs, None
 
 
-def _network(model: SceneMixerModel, x: Tensor, mode: str):
-    """Patch embed, blocks, GAP, dense and softmax on x, already in the
-    model's dtype: (probs, ForwardCaches in train mode or None in infer mode)."""
-    t, embed_cache = layers.patch_embed_forward(x, model.conv("embed"))
-    if mode == "infer":
-        embed_cache = None  # its im2col copy of x would outlive every block
-    block_caches = [None] * model.config.depth
+def _infer_network(model: SceneMixerModel, x: Tensor) -> Tensor:
+    """Infer-mode probabilities of x, already in the model's dtype."""
+    t = layers.patch_embed_forward(x, model.conv("embed"))[0]  # drops the cache's im2col copy of x
     for i in range(model.config.depth):
-        t, block_caches[i] = _block_forward(model, i, t, mode)
-    pooled, gap_cache = layers.global_avg_pool_forward(t)
+        # no name holds the GELU output, so it is freed as its batch norm returns
+        t = layers.batch_norm_forward(_mix(model, i, t, "infer")[0], model.bn_states[i], "infer")[0]
+    return _head(model, layers.global_avg_pool_forward(t)[0])[0]
+
+
+def _head(model: SceneMixerModel, pooled: Tensor):
+    """Dense and softmax on the pooled rows: (probs, dense cache)."""
     logits, dense_cache = layers.dense_forward(pooled, model.conv("head"))
     probs, _ = layers.softmax_forward(logits)
-    if mode == "infer":
-        return probs, None
-    return probs, ForwardCaches(embed_cache, block_caches, gap_cache, dense_cache)
+    return probs, dense_cache
+
+
+def _train_forward(model: SceneMixerModel, x: Tensor, rows: list):
+    """Train-mode (probs, ForwardCaches) of x over the chunks `rows`."""
+    depth = model.config.depth
+    chunks = [ChunkCaches(r) for r in rows]
+    pending = [None] * len(chunks)  # each chunk's GELU output, until its batch norm
+
+    def stage(i, stats, k):
+        # patch embed, or block i-1's batch norm; then block i up to its batch norm, or GAP
+        c = chunks[k]
+        if i == 0:
+            t, c.embed = layers.patch_embed_forward(x[c.rows], model.conv("embed"))
+        else:
+            t, c.blocks[i - 1].bn = layers.batch_norm_forward(pending[k], model.bn_states[i - 1], "train", stats)
+            pending[k] = None  # no cache holds the GELU output
+        if i == depth:
+            pooled, c.gap = layers.global_avg_pool_forward(t)
+            return pooled
+        pending[k], block = _mix(model, i, t, "train")
+        c.blocks.append(block)
+        return layers.batch_norm_moments(pending[k])
+
+    stats = None
+    for i in range(depth + 1):
+        out = _map_chunks(functools.partial(stage, i, stats), range(len(chunks)))
+        if i < depth:
+            stats = layers.batch_norm_statistics(model.bn_states[i], out)
+    # a pooled row and its head output do not depend on the rows beside it
+    probs, dense_cache = _head(model, np.concatenate(out))
+    return probs, ForwardCaches(chunks, dense_cache)
 
 
 def backward(model: SceneMixerModel, caches: ForwardCaches, dlogits: Tensor):
-    """Gradients given d(loss)/d(logits): (per-parameter dict, d(loss)/d(input))."""
+    """Gradients given d(loss)/d(logits): (per-parameter dict, d(loss)/d(input)).
+
+    Runs over the forward's chunks like `forward`; the calling thread sums
+    the chunks' batch-norm and parameter-gradient partials in chunk order.
+    """
+    depth = model.config.depth
     grads = {}
     dpooled, grads["head.weights"], grads["head.bias"] = layers.dense_backward(caches.dense, dlogits)
-    dt = layers.global_avg_pool_backward(caches.gap, dpooled)
-    for i in reversed(range(model.config.depth)):
-        dt = _block_backward(model, i, caches.blocks[i], dt, grads)
-    dx, grads["embed.weights"], grads["embed.bias"] = layers.patch_embed_backward(caches.embed, dt)
-    return grads, dx
+    chunks = caches.chunks
+    pending = [dpooled[c.rows] for c in chunks]  # each chunk's upstream gradient
+
+    def stage(i, sums, k):
+        # GAP backward, or block i's backward from its batch norm on; then block
+        # i-1's batch-norm partials, or the patch embed backward
+        c, du = chunks[k], pending[k]
+        part = {}
+        if i == depth:
+            dt = layers.global_avg_pool_backward(c.gap, du)
+        else:
+            dg, _, _ = layers.batch_norm_backward(c.blocks[i].bn, du, sums)
+            dt = _mix_backward(model, i, c.blocks[i], dg, part)
+        if i == 0:
+            pending[k], part["embed.weights"], part["embed.bias"] = layers.patch_embed_backward(c.embed, dt)
+            return part, None
+        pending[k] = dt
+        return part, layers.batch_norm_partials(c.blocks[i - 1].bn, dt)
+
+    sums = None
+    for i in reversed(range(depth + 1)):
+        out = _map_chunks(functools.partial(stage, i, sums), range(len(chunks)))
+        for name in out[0][0]:
+            grads[name] = _sum_in_order([part[name] for part, _ in out])
+        if i > 0:
+            sums = tuple(_sum_in_order([bn[j] for _, bn in out]) for j in (0, 1))
+            grads[f"block{i - 1}.bn.gamma"], grads[f"block{i - 1}.bn.beta"] = sums
+    return grads, np.concatenate(pending)
 
 
-def predict(model: SceneMixerModel, x: Tensor, threads: int = 1) -> np.ndarray:
-    """Infer-mode argmax labels over `threads` threads; ties resolve to the lowest class index."""
-    probs, _ = forward(model, x, "infer", threads)
+def predict(model: SceneMixerModel, x: Tensor) -> np.ndarray:
+    """Infer-mode argmax labels; ties resolve to the lowest class index."""
+    probs, _ = forward(model, x, "infer")
     return np.argmax(probs, axis=1)
 
 

@@ -7,7 +7,8 @@ after `LR_PATIENCE` (10) epochs without strict improvement (never below
 epoch (earliest on ties). Adam's constants are fixed too: `ADAM_BETA1` 0.9,
 `ADAM_BETA2` 0.999 and `ADAM_EPS` 1e-7. Validation is one infer-mode
 `model.forward` over the whole split, which bounds its own memory by
-running the network in chunks.
+running the network in chunks. Train steps and validation run on as many
+threads as `model.use_threads` allows.
 """
 
 import math

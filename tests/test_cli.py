@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import pathlib
 import re
@@ -230,17 +231,56 @@ def test_every_command_echoes_resolved_settings(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "resolved: classes=2" in err
     assert "resolved: seed=1" in err
-    assert "resolved: threads=None" in err
+    assert f"resolved: threads={len(os.sched_getaffinity(0))}" in err
 
 
-def test_threads_do_not_change_output_bytes(tmp_path, tiny_dataset, tiny_config):
-    # BLAS reads its thread variables when numpy loads, so each run needs
-    # its own interpreter
+class _SerialPool:
+    """Stands in for ThreadPoolExecutor: records its size and runs each call at once, starting no thread."""
+
+    sizes = []
+
+    def __init__(self, workers):
+        self.sizes.append(workers)
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self):
+        pass
+
+
+def test_threads_resolve_to_at_most_the_usable_cores(tmp_path, tiny_dataset, monkeypatch, capsys):
+    # 24 patch-1 images of 16x16x128 float32 run as 3 chunks of 8
+    text = TINY_CONFIG_TEXT.replace("patch=4", "patch=1").replace("embed_dim=8", "embed_dim=128")
+    net = sm.build(sm.parse_config_text(text)[0], seed=0)
+    net.class_names = dm.load_dataset(tiny_dataset).class_names
+    sm.save(net, tmp_path / "m.smxc")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(sm, "ThreadPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    for flag, resolved in ((["--threads", "5000"], 2), ([], 2), (["--threads", "1"], 1)):
+        capsys.readouterr()
+        assert run_inproc(["eval", "--model", str(tmp_path / "m.smxc"), "--data", str(tiny_dataset),
+                           "--split", "train", "--seed", "3", *flag]) == 0
+        assert f"resolved: threads={resolved}\n" in capsys.readouterr().err
+    assert _SerialPool.sizes == [2, 2]
+    assert run_inproc(["eval", "--model", str(tmp_path / "m.smxc"), "--data", str(tiny_dataset),
+                       "--threads", "0"]) == 1
+
+
+def test_threads_do_not_change_output_bytes(tmp_path, tiny_dataset):
+    # BLAS reads its thread variables when numpy loads, so each run needs its
+    # own interpreter. A patch-1 image of 16x16x128 float32 is 128 KiB of block
+    # activation, so a chunk holds 8 images and a batch of 24 runs as 3 chunks
+    config = tmp_path / "wide.cfg"
+    config.write_text(TINY_CONFIG_TEXT.replace("patch=4", "patch=1").replace("embed_dim=8", "embed_dim=128"))
     outputs = []
     for threads in ("1", "2"):
         model_path, history_path = tmp_path / f"m{threads}.smxc", tmp_path / f"h{threads}.csv"
-        run_subproc(["train", "--data", str(tiny_dataset), "--config", str(tiny_config),
-                     "--epochs", "2", "--batch", "8", "--seed", "3", "--threads", threads,
+        run_subproc(["train", "--data", str(tiny_dataset), "--config", str(config),
+                     "--epochs", "2", "--batch", "24", "--seed", "3", "--threads", threads,
                      "--out", str(model_path), "--history", str(history_path), "--quiet"], check=True)
         outputs.append((model_path.read_bytes(), history_path.read_bytes()))
     assert outputs[0] == outputs[1]

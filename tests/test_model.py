@@ -1,10 +1,13 @@
 import dataclasses
 import math
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scenemixer import analyzer, layers
 from scenemixer import model as sm
@@ -63,7 +66,8 @@ def test_forward_block_shapes_stay_constant(rng):
     net = sm.build(sm.ModelConfig.eurosat_default(), seed=0)
     x = rng.random((1, 64, 64, 3), dtype=np.float32)
     _, caches = sm.forward(net, x, "train")
-    for block in caches.blocks:
+    (chunk,) = caches.chunks
+    for block in chunk.blocks:
         assert block.bn.out_shape == (1, 16, 16, 128)
 
 
@@ -121,8 +125,8 @@ def test_chunked_infer_counts_each_image_once(rng):
     net = sm.build(cfg, seed=0)
     x = rng.random((20, 64, 64, 3), dtype=np.float32)
     for threads in (1, 2):  # the pool's threads record into one counter
-        with layers.count_multiplies() as counter:
-            sm.forward(net, x, "infer", threads=threads)
+        with layers.count_multiplies() as counter, sm.use_threads(threads):
+            sm.forward(net, x, "infer")
         assert counter.total == 20 * analyzer.cost_report(cfg).total_macs, threads
 
 
@@ -134,9 +138,10 @@ def test_pooled_infer_forward_matches_serial(rng, dtype):
     net = sm.build(sm.ModelConfig.eurosat_default(), seed=0, dtype=dtype)
     x = rng.random((64, 64, 64, 3)).astype(dtype)
     for n in (1, 7, 8, 9, 20, 64):
-        serial, _ = sm.forward(net, x[:n], "infer", threads=1)
+        serial, _ = sm.forward(net, x[:n], "infer")
         for threads in (2, 3):
-            pooled, _ = sm.forward(net, x[:n], "infer", threads=threads)
+            with sm.use_threads(threads):
+                pooled, _ = sm.forward(net, x[:n], "infer")
             assert pooled.dtype == dtype and pooled.tobytes() == serial.tobytes(), (n, threads)
 
 
@@ -152,10 +157,10 @@ def test_pooled_infer_forward_raises_a_chunks_exception(rng, monkeypatch):
         return real_embed(xb, p)
 
     monkeypatch.setattr(layers, "patch_embed_forward", embed)
-    with pytest.raises(RuntimeError, match="chunk at image 16 failed"):
-        sm.forward(net, x, "infer", threads=2)
-    with pytest.raises(ValueError, match="threads must be >= 1"):
-        sm.forward(net, x, "infer", threads=0)
+    with pytest.raises(RuntimeError, match="chunk at image 16 failed"), sm.use_threads(2):
+        sm.forward(net, x, "infer")
+    with pytest.raises(ValueError, match="threads must be >= 1"), sm.use_threads(0):
+        sm.forward(net, x, "infer")
 
 
 def test_pooled_infer_forward_peaks_at_one_chunk_per_thread(rng):
@@ -164,15 +169,155 @@ def test_pooled_infer_forward_peaks_at_one_chunk_per_thread(rng):
     net = sm.build(sm.ModelConfig.eurosat_default(), seed=0)
     x = rng.random((64, 64, 64, 3), dtype=np.float32)
     threads = 2
-    sm.forward(net, x, "infer", threads=threads)  # the first call also allocates numpy's one-time state
-    tracemalloc.start()
-    try:
-        sm.forward(net, x, "infer", threads=threads)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    with sm.use_threads(threads):
+        sm.forward(net, x, "infer")  # the first call also allocates numpy's one-time state
+        tracemalloc.start()
+        try:
+            sm.forward(net, x, "infer")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
     activations = peak / (8 * 16 * 16 * 128 * 4)
     assert activations <= threads * 6.25, f"peak of {activations:.2f} activations"
+
+
+def test_pooled_train_step_peak_stays_near_the_serial_one(rng):
+    # a 32-image step at the bench config peaked at 79.1 MB (75.4 one-chunk
+    # activations of (8, 16, 16, 128) float32) on 1 thread and at 84.0-85.2 MB
+    # (80.1-81.3) on 2: the second thread holds one more chunk's working set
+    cfg = sm.ModelConfig(input_h=64, input_w=64, input_c=3, num_classes=6)
+    x = rng.random((32, 64, 64, 3), dtype=np.float32)
+    labels = rng.integers(0, 6, 32)
+    peaks = {}
+    for threads in (1, 2):
+        net = sm.build(cfg, seed=3)
+        with sm.use_threads(threads):
+            _train_step(net, x, labels)  # the first call also allocates numpy's one-time state
+            tracemalloc.start()
+            try:
+                _train_step(net, x, labels)
+                _, peaks[threads] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+    extra = (peaks[2] - peaks[1]) / (8 * 16 * 16 * 128 * 4)
+    assert extra <= 8.0, f"2 threads peaked {extra:.2f} activations above 1 thread"
+
+
+def _train_step(net, x, labels):
+    """(probs, grads, dinput) of one train-mode forward and backward."""
+    probs, caches = sm.forward(net, x, "train")
+    _, dlogits = tr.cross_entropy_with_logit_grad(probs, labels)
+    grads, dinput = sm.backward(net, caches, dlogits)
+    return probs, grads, dinput
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pooled_train_step_matches_serial(rng, dtype):
+    """Chunks never depend on the thread count and every merge runs in
+    chunk order, so a train step's probabilities, gradients and running
+    statistics are byte-equal on 1, 2 and 3 threads."""
+    cfg = sm.ModelConfig.eurosat_default()
+    x = rng.random((33, 64, 64, 3)).astype(dtype)
+    labels = rng.integers(0, cfg.num_classes, 33)
+    for n in (1, 7, 8, 9, 20, 33):
+        runs = []
+        for threads in (1, 2, 3):
+            net = sm.build(cfg, seed=0, dtype=dtype)
+            with sm.use_threads(threads):
+                probs, grads, dinput = _train_step(net, x[:n], labels[:n])
+            arrays = [probs, dinput, *grads.values(), *net.all_tensors().values()]
+            assert all(a.dtype == dtype for a in arrays), (n, threads)
+            runs.append(([a.tobytes() for a in arrays], list(grads)))
+        assert runs[1] == runs[0] and runs[2] == runs[0], n
+
+
+def test_train_step_on_more_threads_than_cores_loses_no_update(rng, monkeypatch):
+    # 24 one-image chunks on 6 threads that switch every microsecond: every
+    # multiply is counted once, and the step keeps the bytes of the serial one
+    monkeypatch.setattr(sm, "_CHUNK_BYTES", 64)
+    cfg = dataclasses.replace(TINY, depth=2)
+    x = rng.standard_normal((24, 4, 4, 1))
+    labels = rng.integers(0, 2, 24)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 6):
+            net = sm.build(cfg, seed=5, dtype=np.float64)
+            with sm.use_threads(threads), layers.count_multiplies() as counter:
+                probs, grads, dinput = _train_step(net, x, labels)
+            assert counter.total == 24 * analyzer.cost_report(cfg).total_macs, threads
+            runs.append([a.tobytes() for a in (probs, dinput, *grads.values(), *net.all_tensors().values())])
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[1] == runs[0]
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("chunk_bytes, per_chunk", [(64, [1, 1, 1]), (128, [2, 1])])
+def test_multi_chunk_train_gradient_check(monkeypatch, depth, chunk_bytes, per_chunk):
+    """Batch norm merged across chunks is still the batch's: one TINY image
+    is 64 bytes of float64 block activation, so 3 images run as 3 chunks or as 2+1."""
+    monkeypatch.setattr(sm, "_CHUNK_BYTES", chunk_bytes)
+    net = sm.build(dataclasses.replace(TINY, depth=depth), seed=4, dtype=np.float64)
+    rng = np.random.Generator(np.random.PCG64(104))
+    x = rng.standard_normal((3, 4, 4, 1))
+    labels = np.array([0, 1, 1])
+    with sm.use_threads(2):
+        probs, caches = sm.forward(net, x, "train")
+        assert [c.rows.stop - c.rows.start for c in caches.chunks] == per_chunk
+        _, dlogits = tr.cross_entropy_with_logit_grad(probs, labels)
+        grads, dinput = sm.backward(net, caches, dlogits)
+
+        def loss_fn(_):
+            return tr.cross_entropy(sm.forward(net, x, "train")[0], labels)
+
+        for name, param in net.params.items():
+            assert max_rel_err(grads[name], finite_diff_grad(loss_fn, param, 1e-5)) < 1e-4, name
+        assert max_rel_err(dinput, finite_diff_grad(loss_fn, x, 1e-5)) < 1e-4, "input"
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(2, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(1, n - 1), max_size=5, unique=True), st.integers(0, 2**32 - 1))))
+def test_merged_chunk_moments_match_the_whole_batch(case):
+    n, cuts, seed = case
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x = rng.standard_normal((n, 2, 3, 4)) * rng.uniform(0.01, 100) + rng.uniform(-100, 100)
+    parts = [layers.batch_norm_moments(chunk) for chunk in np.split(x, sorted(cuts))]
+    merged = layers.merge_moments(parts)
+    flat = x.reshape(-1, 4)
+    assert merged.count == flat.shape[0]
+    np.testing.assert_allclose(merged.mean, flat.mean(axis=0), rtol=1e-12, atol=1e-12 * np.abs(flat).max())
+    np.testing.assert_allclose(merged.m2 / merged.count, np.var(flat, axis=0), rtol=1e-10)
+
+
+def test_pooled_train_step_raises_a_chunks_exception(rng, monkeypatch):
+    net = sm.build(sm.ModelConfig.eurosat_default(), seed=0)
+    x = rng.random((20, 64, 64, 3), dtype=np.float32)
+    labels = rng.integers(0, 10, 20)
+    real_gelu, real_gelu_backward = layers.gelu_forward, layers.gelu_backward
+
+    def gelu(h, mode):
+        if len(h) == 4:  # the last chunk of 8 + 8 + 4 images
+            raise RuntimeError("forward chunk of 4 images failed")
+        return real_gelu(h, mode)
+
+    def gelu_backward(cache, upstream):
+        if len(upstream) == 4:
+            raise RuntimeError("backward chunk of 4 images failed")
+        return real_gelu_backward(cache, upstream)
+
+    with sm.use_threads(2):
+        monkeypatch.setattr(layers, "gelu_forward", gelu)
+        with pytest.raises(RuntimeError, match="forward chunk of 4 images failed"):
+            sm.forward(net, x, "train")
+        monkeypatch.setattr(layers, "gelu_forward", real_gelu)
+        probs, caches = sm.forward(net, x, "train")
+        _, dlogits = tr.cross_entropy_with_logit_grad(probs, labels)
+        monkeypatch.setattr(layers, "gelu_backward", gelu_backward)
+        with pytest.raises(RuntimeError, match="backward chunk of 4 images failed"):
+            sm.backward(net, caches, dlogits)
 
 
 def test_zero_images_give_empty_probs_and_labels():
@@ -290,7 +435,8 @@ def test_train_caches_share_block_input_and_hold_no_padded_copy(rng):
                          depth=2, kernels=(3, 5), num_classes=3)
     net = sm.build(cfg, seed=0)
     _, caches = sm.forward(net, rng.random((5, 16, 16, 3), dtype=np.float32), "train")
-    for block in caches.blocks:
+    (chunk,) = caches.chunks
+    for block in chunk.blocks:
         dw3, dw5 = block.dw
         x = dw3.saved["x"]
         assert dw5.saved["x"] is x
