@@ -92,7 +92,7 @@ class MulCounter:
     def __init__(self):
         self.total = 0
         self.by_layer = {}
-        self._lock = threading.Lock()  # the threads of a pooled infer forward record into one counter
+        self._lock = threading.Lock()  # pool threads record into one counter: infer chunks, and train chunks' layer calls
 
     def add(self, layer: str, n: int):
         with self._lock:

@@ -1,7 +1,11 @@
 import hashlib
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scenemixer import data as dm
 
@@ -198,6 +202,100 @@ def test_load_image_is_decode_then_normalize_then_resize(tmp_path, rng, side):
     got = dm.load_image(path, 64, 64)
     assert got.dtype == np.float32 and got.shape == (64, 64, 3)
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 70), w=st.integers(1, 70),
+       target=st.one_of(st.just(None), st.tuples(st.integers(1, 80), st.integers(1, 80))))
+def test_load_image_bytes_equal_normalize_then_resize(seed, h, w, target):
+    """Down- and upsampling, identity (target None) and non-square targets."""
+    out_h, out_w = target or (h, w)
+    blob = dm.encode_ppm(np.random.default_rng(seed).random((h, w, 3)))
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "img.ppm")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        got = dm.load_image(path, out_h, out_w)
+    want = dm.resize_bilinear(dm.normalize(dm.decode_ppm(blob)), out_h, out_w)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_decode_ppm_does_not_copy_the_payload():
+    blob = dm.encode_ppm(np.full((3, 2, 3), 0.5))
+    assert np.shares_memory(dm.decode_ppm(blob), np.frombuffer(blob, np.uint8))
+
+
+def test_load_image_normalizes_only_the_sampled_pixels(tmp_path, rng, monkeypatch):
+    """Per-image load cost follows the model input, not the source size."""
+    path = tmp_path / "aid.ppm"
+    dm.write_ppm(path, rng.random((600, 600, 3)))
+    sizes = []
+    real_normalize = dm.normalize
+
+    def normalize(img):
+        sizes.append(img.size)
+        return real_normalize(img)
+
+    monkeypatch.setattr(dm, "normalize", normalize)
+    dm.load_image(path, 64, 64)
+    assert 0 < sum(sizes) <= 4 * 64 * 64 * 3
+    sizes.clear()
+    manifest = dm.DatasetManifest(["a"], [dm.SampleRecord("a/aid.ppm", 0, str(path), split="test")])
+    dm.split_arrays(manifest, "test", 64, 64)
+    assert 0 < sum(sizes) <= 4 * 64 * 64 * 3
+
+
+def test_sampling_plan_arrays_refuse_writes():
+    plan = dm._sampling_plan(10, 12, 3, 4, 5)
+    assert plan is dm._sampling_plan(10, 12, 3, 4, 5)
+    for array in plan:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 0
+
+
+def _mixed_size_tree(root, rng, sizes):
+    manifest = dm.DatasetManifest(["a", "b"])
+    for i, (h, w) in enumerate(sizes):
+        cls = ["a", "b"][i % 2]
+        os.makedirs(root / cls, exist_ok=True)
+        path = root / cls / f"{i:02d}.ppm"
+        dm.write_ppm(path, rng.random((h, w, 3)))
+        manifest.samples.append(dm.SampleRecord(f"{cls}/{i:02d}.ppm", i % 2, str(path), split="train"))
+    return manifest
+
+
+def test_split_of_mixed_sizes_samples_each_image_with_its_own_plan(tmp_path, rng):
+    sizes = [(40, 30), (17, 45), (40, 30), (16, 16), (90, 7), (17, 45)]
+    manifest = _mixed_size_tree(tmp_path, rng, sizes)
+    dm._sampling_plan.cache_clear()
+    x, y = dm.split_arrays(manifest, "train", 16, 16)
+    assert dm._sampling_plan.cache_info().currsize == 3  # (16, 16) is the target size: no plan
+    for row, s in zip(x, manifest.samples):
+        want = dm.resize_bilinear(dm.normalize(dm.read_ppm(s.path)), 16, 16)
+        assert row.tobytes() == want.tobytes(), s.key
+    assert y.tolist() == [0, 1, 0, 1, 0, 1]
+
+
+def test_split_arrays_equals_stacked_per_image_loads(tmp_path, rng):
+    manifest = _mixed_size_tree(tmp_path, rng, [(64, 64), (256, 256), (33, 80), (64, 64)])
+    x, _ = dm.split_arrays(manifest, "train", 64, 64)
+    want = np.stack([dm.load_image(s.path, 64, 64) for s in manifest.samples])
+    assert x.dtype == np.float32 and x.tobytes() == want.tobytes()
+    memory = dm.DatasetManifest(["a"], [dm.SampleRecord(f"a/{i}", 0, image=img, split="val")
+                                        for i, img in enumerate(x[:2])])
+    memory.samples.append(dm.SampleRecord("a/big", 0, image=rng.random((90, 70, 3)).astype(np.float32), split="val"))
+    got, _ = dm.split_arrays(memory, "val", 48, 48)
+    want = np.stack([dm.resize_bilinear(s.image, 48, 48) for s in memory.samples])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_load_and_split_reject_bad_target(tmp_path, rng):
+    manifest = _mixed_size_tree(tmp_path, rng, [(8, 8), (8, 8)])
+    with pytest.raises(ValueError, match="target size must be positive"):
+        dm.load_image(manifest.samples[0].path, 0, 8)
+    with pytest.raises(ValueError, match="target size must be positive"):
+        dm.split_arrays(manifest, "train", 8, 0)
 
 
 # ---------------------------------------------------------------------------
