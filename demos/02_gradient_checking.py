@@ -42,7 +42,7 @@ labels = np.array([0, 1, 2, 1])
 
 probs, caches = sm.forward(net, images, "train")
 loss, dlogits = tr.cross_entropy_with_logit_grad(probs, labels)
-grads, _ = sm.backward(net, caches, dlogits)
+grads = sm.backward(net, caches, dlogits)
 print(f"cross-entropy at init: {loss:.4f} (chance would be {np.log(3):.4f})")
 
 

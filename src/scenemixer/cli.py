@@ -4,17 +4,29 @@ Exit codes: 0 success, 1 usage error, 2 runtime error. Every run echoes
 its resolved settings to stderr before acting; primary results go to
 stdout. `--threads` sets the size of the thread pool that `train`, `eval`
 and `predict` run their chunks of images on (default and upper bound: the
-usable cores); results do not depend on it. Every command pins BLAS to one
-thread, so pool threads do not oversubscribe the cores; BLAS reads that
-setting when numpy is first imported, which is why the implementation
-modules are imported inside the handlers.
+usable cores); results do not depend on it.
+
+Importing this module pins BLAS to one thread, so pool threads do not
+oversubscribe the cores: it sets `OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS`
+and `MKL_NUM_THREADS` to 1, then imports the library, which loads numpy.
+BLAS reads them only when numpy loads, so the pin holds when this module is
+imported before numpy, as by `python -m scenemixer` and the `scenemixer`
+script. A program that imports numpy first and then calls `main` must set
+the three variables itself before that import; without the pin, 10
+in-process bench-config train commands on a 2-core host took 1,225-1,345 ms
+each against 553 ms.
 """
 
 import argparse
 import os
 import sys
 
-from .fileio import write_atomic
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+
+# handlers call through these module objects, so that a tracer or probe that
+# replaces a module attribute sees every call
+from . import analyzer, data as data_mod, metrics as metrics_mod, model as model_mod, train as train_mod  # noqa: E402
+from .fileio import write_atomic  # noqa: E402
 
 
 class _UsageError(Exception):
@@ -33,20 +45,16 @@ def _echo_settings(args):
 
 
 def _resolve_threads(threads):
-    """The pool size of --threads: the usable cores when None, and never more
-    than them. Also pins BLAS to one thread."""
+    """The pool size of --threads: the usable cores when None, and never more than them."""
     if threads is not None and threads < 1:
         raise _UsageError(f"--threads must be >= 1, got {threads}")
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
-    cores = len(os.sched_getaffinity(0))
+    # only some platforms, such as Linux, have sched_getaffinity
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return cores if threads is None else min(threads, cores)
 
 
 def _resolve_model_config(spec: str):
     """(ModelConfig, class names or None) of a builtin config name or a config file."""
-    from . import model as model_mod
-
     builtin = {
         "eurosat-default": model_mod.ModelConfig.eurosat_default,
         "aid-default": model_mod.ModelConfig.aid_default,
@@ -62,8 +70,6 @@ def _resolve_model_config(spec: str):
 def _load_split_dataset(data_root, manifest_path, seed, num_classes, class_names=None):
     """The dataset at data_root, split by the manifest or else by seed. Raises
     ValueError unless it has num_classes class folders, named class_names in order if given."""
-    from . import data as data_mod
-
     manifest = data_mod.load_dataset(data_root)
     folders = manifest.class_names
     if class_names and folders != class_names:
@@ -84,8 +90,6 @@ def _load_split_dataset(data_root, manifest_path, seed, num_classes, class_names
 
 
 def _cmd_analyze(args):
-    from . import analyzer
-
     config, _ = _resolve_model_config(args.config)
     report = analyzer.cost_report(config, trainable_only=args.trainable_only)
     sys.stdout.write(analyzer.format_report(report, config))
@@ -95,8 +99,6 @@ def _cmd_analyze(args):
 
 
 def _cmd_synth(args):
-    from . import data as data_mod
-
     manifest = data_mod.synth_generate(args.classes, args.per_class, side=args.side, seed=args.seed)
     data_mod.write_dataset(manifest, args.out)
     print(f"wrote {len(manifest.samples)} images in {manifest.num_classes} classes under {args.out}")
@@ -104,8 +106,6 @@ def _cmd_synth(args):
 
 
 def _cmd_split(args):
-    from . import data as data_mod
-
     manifest = data_mod.load_dataset(args.data)
     data_mod.stratified_split(manifest, data_mod.SplitSpec(seed=args.seed))
     write_atomic(args.out, [data_mod.manifest_to_csv(manifest).encode("utf-8")])
@@ -116,10 +116,6 @@ def _cmd_split(args):
 
 
 def _cmd_train(args):
-    from . import data as data_mod
-    from . import model as model_mod
-    from . import train as train_mod
-
     config, class_names = _resolve_model_config(args.config)
     manifest = _load_split_dataset(args.data, args.manifest, args.seed, config.num_classes, class_names)
     train_xy = data_mod.split_arrays(manifest, "train", config.input_h, config.input_w)
@@ -140,10 +136,6 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
-    from . import data as data_mod
-    from . import metrics as metrics_mod
-    from . import model as model_mod
-
     net = model_mod.load(args.model)
     manifest = _load_split_dataset(args.data, args.manifest, args.seed, net.config.num_classes, net.class_names)
     x, y = data_mod.split_arrays(manifest, args.split, net.config.input_h, net.config.input_w)
@@ -162,9 +154,6 @@ def _cmd_eval(args):
 
 
 def _cmd_predict(args):
-    from . import data as data_mod
-    from . import model as model_mod
-
     net = model_mod.load(args.model)
     img = data_mod.load_image(args.image, net.config.input_h, net.config.input_w)
     label = int(model_mod.predict(net, img[None, :, :, :])[0])
@@ -245,8 +234,6 @@ def main(argv=None) -> int:
         return 0 if not exc.code else 1
     try:
         _echo_settings(args)
-        from . import model as model_mod
-
         with model_mod.use_threads(args.threads):
             return args.func(args)
     except Exception as exc:

@@ -309,6 +309,13 @@ def use_threads(n: int):
     per call raised the peak RSS of 12 bench-config train commands in one
     process from 191-196 to 257-260 MB, and after 8 commands it had left 4
     glibc malloc arenas instead of 3.
+
+    The pool's threads share the cores with BLAS's own, so BLAS should run on
+    one: `OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS` and `MKL_NUM_THREADS` set to
+    1 before numpy loads. Importing `scenemixer.cli` first does that; a program
+    that imports numpy first and enters `use_threads(n > 1)` must set them
+    itself before that import. Without them, 10 in-process bench-config train
+    commands on a 2-core host took 1,225-1,345 ms each against 553 ms.
     """
     global _THREADS
     if n < 1:
@@ -499,7 +506,7 @@ def _train_forward(model: SceneMixerModel, x: Tensor, rows: list):
 
 
 def backward(model: SceneMixerModel, caches: ForwardCaches, dlogits: Tensor):
-    """Gradients given d(loss)/d(logits): (per-parameter dict, d(loss)/d(input)).
+    """Per-parameter gradients given d(loss)/d(logits), keyed like `model.params`.
 
     Runs over the forward's chunks like `forward`; the calling thread sums
     the chunks' batch-norm and parameter-gradient partials in chunk order.
@@ -512,7 +519,7 @@ def backward(model: SceneMixerModel, caches: ForwardCaches, dlogits: Tensor):
 
     def stage(i, sums, k):
         # GAP backward, or block i's backward from its batch norm on; then block
-        # i-1's batch-norm partials, or the patch embed backward
+        # i-1's batch-norm partials, or the patch embed backward, whose dx the model drops
         c, du = chunks[k], pending[k]
         part = {}
         if i == depth:
@@ -521,7 +528,7 @@ def backward(model: SceneMixerModel, caches: ForwardCaches, dlogits: Tensor):
             dg, _, _ = layers.batch_norm_backward(c.blocks[i].bn, du, sums)
             dt = _mix_backward(model, i, c.blocks[i], dg, part)
         if i == 0:
-            pending[k], part["embed.weights"], part["embed.bias"] = layers.patch_embed_backward(c.embed, dt)
+            _, part["embed.weights"], part["embed.bias"] = layers.patch_embed_backward(c.embed, dt)
             return part, None
         pending[k] = dt
         return part, layers.batch_norm_partials(c.blocks[i - 1].bn, dt)
@@ -534,7 +541,7 @@ def backward(model: SceneMixerModel, caches: ForwardCaches, dlogits: Tensor):
         if i > 0:
             sums = tuple(_sum_in_order([bn[j] for _, bn in out]) for j in (0, 1))
             grads[f"block{i - 1}.bn.gamma"], grads[f"block{i - 1}.bn.beta"] = sums
-    return grads, np.concatenate(pending)
+    return grads
 
 
 def predict(model: SceneMixerModel, x: Tensor) -> np.ndarray:

@@ -163,7 +163,7 @@ def train_epoch(model, x: Tensor, y, adam_state: AdamState, lr: float, batch_siz
         try:
             probs, caches = model_mod.forward(model, xb, "train")
             loss, dlogits = cross_entropy_with_logit_grad(probs, yb)
-            grads, _ = model_mod.backward(model, caches, dlogits)
+            grads = model_mod.backward(model, caches, dlogits)
             adam_step(model.params, grads, adam_state, lr)
         except FloatingPointError as exc:
             raise FloatingPointError(f"batch {batch}: {exc}") from exc

@@ -167,7 +167,7 @@ def test_criterion_04_gradient_suite():
         labels = np.array([0, 1])
         probs, caches = sm.forward(net, xin, "train")
         _, dlogits = tr.cross_entropy_with_logit_grad(probs, labels)
-        grads, _ = sm.backward(net, caches, dlogits)
+        grads = sm.backward(net, caches, dlogits)
 
         def loss_fn(_):
             pr, _ = sm.forward(net, xin, "train")

@@ -105,6 +105,7 @@ def test_usage_errors_exit_1():
     assert run_subproc(["no-such-command"]).returncode == 1
     assert run_subproc([]).returncode == 1
     assert run_subproc(["analyze"]).returncode == 1  # missing required --config
+    assert run_subproc(["--help"]).returncode == 0
 
 
 @pytest.mark.parametrize("command", ["analyze", "synth", "split", "train", "eval", "predict"])
@@ -400,13 +401,38 @@ def test_every_command_runs_without_scipy(tmp_path, tiny_config):
     assert model.exists()
 
 
-def test_cli_import_and_parser_leave_numpy_unimported():
-    # --threads sets the BLAS thread variables after parsing, which works
-    # only while numpy, and so BLAS, is not yet loaded
-    code = "import sys\nfrom scenemixer import cli\ncli.build_parser()\nprint('numpy' in sys.modules)\n"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=120)
+def test_cli_import_pins_blas_before_numpy_loads():
+    # BLAS reads its thread variables once, when numpy loads: a meta-path
+    # finder records them at that moment, in an interpreter started with 4
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    code = (
+        "import os, sys\n"
+        "seen = []\n"
+        "class Spy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        f"            seen.append({{v: os.environ.get(v) for v in {blas!r}}})\n"
+        "sys.meta_path.insert(0, Spy())\n"
+        "from scenemixer import cli\n"
+        "print(seen)\n"
+    )
+    env = src_env(**dict.fromkeys(blas, "4"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == f"{[dict.fromkeys(blas, '1')]}\n"
+
+
+def test_threads_default_without_sched_getaffinity(monkeypatch, capsys):
+    # os.sched_getaffinity exists only on some platforms, such as Linux
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    for flag, resolved in (([], 3), (["--threads", "5000"], 3), (["--threads", "2"], 2)):
+        capsys.readouterr()
+        assert run_inproc(["analyze", "--config", "eurosat-default", *flag]) == 0
+        assert f"resolved: threads={resolved}\n" in capsys.readouterr().err
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+    assert run_inproc(["analyze", "--config", "eurosat-default"]) == 0
+    assert "resolved: threads=1\n" in capsys.readouterr().err
 
 
 def test_duplicate_manifest_path_is_runtime_error(tmp_path, tiny_dataset, tiny_config, capsys):
