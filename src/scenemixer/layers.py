@@ -143,7 +143,9 @@ def patch_embed_forward(x: Tensor, p: ConvParams):
         .reshape(n * gh * gw, patch * patch * c_in)
     )
     w2 = pw.reshape(patch * patch * c_in, d)
-    out = (cols @ w2 + p.bias).reshape(n, gh, gw, d)
+    out = cols @ w2
+    out += p.bias  # in place: no second activation-size array
+    out = out.reshape(n, gh, gw, d)
     _record("patch_embed", n * gh * gw * patch * patch * c_in * d)
     cache = LayerCache("patch_embed", out.shape, {"cols": cols, "weights": pw, "x_shape": x.shape})
     return out, cache
@@ -242,7 +244,9 @@ def pointwise_conv_forward(x: Tensor, p: ConvParams):
     if p.bias.shape != (c_out,):
         raise ShapeError(f"pointwise bias shape {p.bias.shape} != ({c_out},)")
     flat = x.reshape(-1, c_in)
-    out = (flat @ p.weights + p.bias).reshape(n, h, w, c_out)
+    out = flat @ p.weights
+    out += p.bias  # in place: no second activation-size array
+    out = out.reshape(n, h, w, c_out)
     _record("pointwise_conv", n * h * w * c_in * c_out)
     cache = LayerCache("pointwise_conv", out.shape, {"flat": flat, "weights": p.weights, "x_shape": x.shape})
     return out, cache

@@ -316,6 +316,14 @@ def use_threads(n: int):
     that imports numpy first and enters `use_threads(n > 1)` must set them
     itself before that import. Without them, 10 in-process bench-config train
     commands on a 2-core host took 1,225-1,345 ms each against 553 ms.
+
+    With glibc's default malloc thresholds, the chunk buffers that pool threads
+    free go back to the kernel and are faulted in again by the next step: 3,800
+    to 44,000 minor faults per bench-config train command in one process.
+    Importing `scenemixer.cli` raises the thresholds with `mallopt`; a program
+    that does not import it gets the same effect by setting
+    `MALLOC_MMAP_THRESHOLD_=33554432` and `MALLOC_TRIM_THRESHOLD_=268435456`
+    before it starts (both: either alone faults more than neither).
     """
     global _THREADS
     if n < 1:

@@ -422,6 +422,53 @@ def test_cli_import_pins_blas_before_numpy_loads():
     assert proc.stdout == f"{[dict.fromkeys(blas, '1')]}\n"
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs glibc's mallopt and 2 usable cores")
+def test_repeated_train_commands_fault_in_few_new_pages(tmp_path):
+    # with the malloc thresholds cli sets at import, 4 bench-config train
+    # commands after 2 warm-ups faulted 230-2,900 pages in all (5 runs); with
+    # glibc's defaults the pool threads' freed chunk buffers went back to the
+    # kernel, and the same 4 commands faulted 95,900-155,800 pages (2 runs)
+    data, cfg = tmp_path / "data", tmp_path / "bench.cfg"
+    assert run_inproc(["synth", "--out", str(data), "--classes", "6", "--per-class", "22", "--seed", "1"]) == 0
+    cfg.write_text(sm.config_to_text(sm.ModelConfig(input_h=64, input_w=64, input_c=3, num_classes=6)))
+    argv = ["train", "--data", str(data), "--config", str(cfg), "--epochs", "2", "--batch", "32", "--seed", "1",
+            "--threads", "2", "--quiet", "--out", str(tmp_path / "m.smxc"), "--history", str(tmp_path / "h.csv")]
+    code = (
+        "import resource\n"
+        "from scenemixer import cli\n"
+        "faults = []\n"
+        "for _ in range(6):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+        "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        "print(*faults)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    faults = [int(f) for f in proc.stdout.split()[-6:]]
+    assert sum(faults[2:]) <= 10_000, f"minor faults per command: {faults}"
+
+
+@pytest.mark.parametrize("cdll", [
+    "raise OSError('no C library')",
+    "raise TypeError('expected str, bytes or os.PathLike object, not NoneType')",  # CDLL(None) on Windows
+    "return object()",  # a C library without mallopt, as on macOS
+])
+def test_cli_runs_where_libc_has_no_mallopt(cdll):
+    code = (
+        "import ctypes\n"
+        "def cdll(*args, **kwargs):\n"
+        f"    {cdll}\n"
+        "ctypes.CDLL = cdll\n"
+        "from scenemixer import cli\n"
+        "raise SystemExit(cli.main(['analyze', '--config', 'eurosat-default']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "patch_embed" in proc.stdout
+
+
 def test_threads_default_without_sched_getaffinity(monkeypatch, capsys):
     # os.sched_getaffinity exists only on some platforms, such as Linux
     monkeypatch.delattr(os, "sched_getaffinity")
