@@ -6,23 +6,19 @@ stdout. `--threads` sets the size of the thread pool that `train`, `eval`
 and `predict` run their chunks of images on (default and upper bound: the
 usable cores); results do not depend on it.
 
-Importing this module pins BLAS to one thread, so pool threads do not
+Importing this module pins BLAS to one thread, so that pool threads do not
 oversubscribe the cores: it sets `OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS`
 and `MKL_NUM_THREADS` to 1, then imports the library, which loads numpy.
 BLAS reads them only when numpy loads, so the pin holds when this module is
 imported before numpy, as by `python -m scenemixer` and the `scenemixer`
 script. A program that imports numpy first and then calls `main` must set
-the three variables itself before that import; without the pin, 10
-in-process bench-config train commands on a 2-core host took 1,225-1,345 ms
-each against 553 ms.
+the three variables itself before that import.
 
 Importing it also sets glibc's `mallopt` thresholds (`_keep_freed_memory`),
 so that the buffers a train step frees serve the next step instead of going
-back to the kernel: in one process on a 2-core host, bench-config train
-commands after the first two faulted in 8-3,100 new pages each against
-3,800-44,000 with glibc's defaults. The process's RSS then stays near its
-peak between commands. Where the C library has no `mallopt`, as on macOS and
-Windows, nothing is set.
+back to the kernel and being faulted in again. The process's RSS then stays
+near its peak between commands. Where the C library has no `mallopt`, as on
+macOS and Windows, nothing is set. README gives the measured costs of both.
 """
 
 import argparse
@@ -143,16 +139,24 @@ def _cmd_split(args):
     return 0
 
 
+def _check_rgb_input(config):
+    """Raise ValueError unless the model reads 3 channels: PPM pixels are always RGB."""
+    if config.input_c != 3:
+        raise ValueError(f"the model reads {config.input_c}-channel input, but PPM images are 3-channel RGB")
+
+
 def _cmd_train(args):
+    cfg = train_mod.TrainConfig(
+        epochs=args.epochs, batch_size=args.batch, seed=args.seed, lr_init=args.lr
+    )
+    cfg.validate()  # before the dataset is read
     config, class_names = _resolve_model_config(args.config)
+    _check_rgb_input(config)
     manifest = _load_split_dataset(args.data, args.manifest, args.seed, config.num_classes, class_names)
     train_xy = data_mod.split_arrays(manifest, "train", config.input_h, config.input_w)
     val_xy = data_mod.split_arrays(manifest, "val", config.input_h, config.input_w)
     net = model_mod.build(config, seed=args.seed)
     net.class_names = manifest.class_names
-    cfg = train_mod.TrainConfig(
-        epochs=args.epochs, batch_size=args.batch, seed=args.seed, lr_init=args.lr
-    )
     log = None if args.quiet else (lambda msg: print(msg, file=sys.stderr))
     net, history = train_mod.fit(net, train_xy, val_xy, cfg, log=log)
     model_mod.save(net, args.out)
@@ -165,6 +169,7 @@ def _cmd_train(args):
 
 def _cmd_eval(args):
     net = model_mod.load(args.model)
+    _check_rgb_input(net.config)
     manifest = _load_split_dataset(args.data, args.manifest, args.seed, net.config.num_classes, net.class_names)
     x, y = data_mod.split_arrays(manifest, args.split, net.config.input_h, net.config.input_w)
     pred = model_mod.predict(net, x)
@@ -183,6 +188,7 @@ def _cmd_eval(args):
 
 def _cmd_predict(args):
     net = model_mod.load(args.model)
+    _check_rgb_input(net.config)
     img = data_mod.load_image(args.image, net.config.input_h, net.config.input_w)
     label = int(model_mod.predict(net, img[None, :, :, :])[0])
     names = net.class_names or [f"class_{i}" for i in range(net.config.num_classes)]

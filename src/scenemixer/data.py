@@ -245,10 +245,7 @@ def load_image(path, out_h: int, out_w: int) -> Tensor:
     the bytes of `resize_bilinear(normalize(read_ppm(path)), out_h, out_w)`,
     normalizing only the pixels the resize samples."""
     _check_target(out_h, out_w)
-    pixels = read_ppm(path)
-    if pixels.shape[:2] == (out_h, out_w):
-        return normalize(pixels)
-    return _fit(pixels, np.empty((out_h, out_w, 3), np.float32), normalize)
+    return _fit(read_ppm(path), np.empty((out_h, out_w, 3), np.float32), normalize)
 
 
 # ---------------------------------------------------------------------------

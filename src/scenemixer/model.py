@@ -289,71 +289,54 @@ def build(config: ModelConfig, seed: int, dtype=np.float32) -> SceneMixerModel:
     return SceneMixerModel(config, params, bn_states)
 
 
-class _Threads:
-    """The thread count of the innermost `use_threads`, and the pool it starts on first use."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.pool = None
-
-
-_THREADS = _Threads(1)
+_POOL = None  # the executor of the innermost `use_threads(n > 1)`
 
 
 @contextlib.contextmanager
 def use_threads(n: int):
     """Run every `forward` and `backward` inside on up to n threads; outside, they run on one.
 
-    The pool starts when a call first has more than one chunk, and it serves
-    every later call inside. On a 2-core host beside a busy process, a pool
-    per call raised the peak RSS of 12 bench-config train commands in one
-    process from 191-196 to 257-260 MB, and after 8 commands it had left 4
-    glibc malloc arenas instead of 3.
+    With n > 1 this opens one `ThreadPoolExecutor(n)`, which serves every call
+    inside and is shut down on exit. An executor starts threads only as work
+    is submitted, so a call of one chunk starts none.
 
-    The pool's threads share the cores with BLAS's own, so BLAS should run on
-    one: `OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS` and `MKL_NUM_THREADS` set to
-    1 before numpy loads. Importing `scenemixer.cli` first does that; a program
-    that imports numpy first and enters `use_threads(n > 1)` must set them
-    itself before that import. Without them, 10 in-process bench-config train
-    commands on a 2-core host took 1,225-1,345 ms each against 553 ms.
-
-    With glibc's default malloc thresholds, the chunk buffers that pool threads
-    free go back to the kernel and are faulted in again by the next step: 3,800
-    to 44,000 minor faults per bench-config train command in one process.
-    Importing `scenemixer.cli` raises the thresholds with `mallopt`; a program
-    that does not import it gets the same effect by setting
-    `MALLOC_MMAP_THRESHOLD_=33554432` and `MALLOC_TRIM_THRESHOLD_=268435456`
-    before it starts (both: either alone faults more than neither).
+    BLAS must run on one thread, or its threads and the pool's oversubscribe
+    the cores: importing `scenemixer.cli` before numpy sets
+    `OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS` and `MKL_NUM_THREADS` to 1, and
+    a program that imports numpy first must set them itself. Importing `cli`
+    also sets glibc's malloc thresholds, so that the buffers the threads free
+    serve the next step instead of being faulted in again; another program
+    gets that by setting `MALLOC_MMAP_THRESHOLD_=33554432` and
+    `MALLOC_TRIM_THRESHOLD_=268435456` before it starts. README gives the
+    measured costs.
     """
-    global _THREADS
+    global _POOL
     if n < 1:
         raise ValueError(f"threads must be >= 1, got {n}")
-    prev, _THREADS = _THREADS, _Threads(n)
+    prev, _POOL = _POOL, (ThreadPoolExecutor(n) if n > 1 else None)
     try:
         yield
     finally:
-        if _THREADS.pool is not None:
-            _THREADS.pool.shutdown()
-        _THREADS = prev
+        if _POOL is not None:
+            _POOL.shutdown()
+        _POOL = prev
 
 
 def _map_chunks(fn, items) -> list:
     """[fn(item) for item in items], on the pool of `use_threads` when there
-    are more than one item and thread. Every call has finished when this
-    returns, or raises the exception of the first item that failed."""
-    items, threads = list(items), _THREADS
-    if min(threads.n, len(items)) <= 1:
+    are two or more items. Every call has finished when this returns, or
+    raises the exception of the first item that failed."""
+    items, pool = list(items), _POOL
+    if pool is None or len(items) < 2:
         return [fn(item) for item in items]
-    if threads.pool is None:
-        threads.pool = ThreadPoolExecutor(threads.n)
-    futures = [threads.pool.submit(fn, item) for item in items]
+    futures = [pool.submit(fn, item) for item in items]
     wait(futures)
     return [f.result() for f in futures]
 
 
 @dataclass
 class BlockCache:
-    """Layer caches of one train-mode mixer block over one chunk."""
+    """Layer caches of one mixer block over one chunk."""
 
     dw: list  # one depthwise cache per kernel, in config order
     pw: LayerCache
@@ -381,19 +364,14 @@ class ForwardCaches:
 
 def _mix(model: SceneMixerModel, i: int, t: Tensor, mode: str):
     """Mixer block i on t up to its batch norm: depthwise branches, merge by sum,
-    pointwise and GELU. Returns (GELU output, BlockCache without bn in train mode or None)."""
-    merged, dw_caches = None, []
-    for k in model.config.kernels:
-        branch, c = layers.depthwise_conv_forward(t, model.conv(f"block{i}.dw{k}"))
-        # no cache holds a branch output, so the first one accumulates the rest in place
-        if merged is None:
-            merged = branch
-        else:
-            merged += branch
-        dw_caches.append(c)
+    pointwise and GELU. Returns (GELU output, BlockCache without bn)."""
+    outs, dw_caches = zip(*(layers.depthwise_conv_forward(t, model.conv(f"block{i}.dw{k}"))
+                            for k in model.config.kernels))
+    merged = _sum_in_order(outs)
+    del outs  # no cache holds a branch output: the sum reuses the first, the rest are freed here
     h, pw_cache = layers.pointwise_conv_forward(merged, model.conv(f"block{i}.pw"))
     g, gelu_cache = layers.gelu_forward(h, mode)
-    return g, (BlockCache(dw_caches, pw_cache, gelu_cache) if mode == "train" else None)
+    return g, BlockCache(list(dw_caches), pw_cache, gelu_cache)
 
 
 def _mix_backward(model: SceneMixerModel, i: int, cache: BlockCache, dg: Tensor, grads: dict) -> Tensor:
@@ -402,20 +380,16 @@ def _mix_backward(model: SceneMixerModel, i: int, cache: BlockCache, dg: Tensor,
     dmerged, grads[f"block{i}.pw.weights"], grads[f"block{i}.pw.bias"] = layers.pointwise_conv_backward(
         cache.pw, dh
     )
-    dinput = None
+    dxs = []
     for k, dw_cache in zip(model.config.kernels, cache.dw):
         dx, grads[f"block{i}.dw{k}.weights"], grads[f"block{i}.dw{k}.bias"] = layers.depthwise_conv_backward(
             dw_cache, dmerged
         )
-        # every dx is a fresh array, so the first one accumulates the rest in place
-        if dinput is None:
-            dinput = dx
-        else:
-            dinput += dx
-    return dinput
+        dxs.append(dx)
+    return _sum_in_order(dxs)
 
 
-def _sum_in_order(parts: list):
+def _sum_in_order(parts):
     """parts[0] + parts[1] + ..., left to right, accumulated into parts[0]."""
     total = parts[0]
     for p in parts[1:]:
@@ -428,8 +402,8 @@ def forward(model: SceneMixerModel, x: Tensor, mode: str):
 
     Both modes run the network over consecutive chunks of the batch, each
     sized so that one block activation fits in `_CHUNK_BYTES`, on the
-    threads of `use_threads`, at most `min(threads, chunks)` at a time; one
-    thread or one chunk runs on the calling thread and starts no pool. The
+    threads of `use_threads`, at most `min(threads, chunks)` at a time; with
+    one thread or one chunk, the chunks run on the calling thread. The
     chunk size does not depend on the thread count, and the head contracts
     without BLAS, so the result does not depend on the thread count either.
 

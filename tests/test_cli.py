@@ -4,12 +4,14 @@ import pathlib
 import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 from scenemixer import cli
 from scenemixer import data as dm
+from scenemixer import layers
 from scenemixer import model as sm
 
 from conftest import run_with_file_size_limit, src_env
@@ -305,18 +307,30 @@ def test_eval_and_predict_bytes_do_not_depend_on_the_infer_pool(tmp_path, tiny_d
         outputs[tag] = ((tmp_path / f"cm_{tag}.csv").read_bytes(), (tmp_path / f"metrics_{tag}.csv").read_bytes())
     assert outputs["1"] == outputs["2"] == outputs["default"]
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a one-chunk forward started a thread pool")
+    class NoSubmitPool(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            raise AssertionError("a one-chunk forward submitted work to the pool")
 
-    # one image is one chunk, so predict runs it on the calling thread
-    monkeypatch.setattr(sm, "ThreadPoolExecutor", no_pool)
+    # one image is one chunk, so predict runs it on the calling thread and
+    # the pool that --threads 2 opens starts no thread
+    threads_at_embed = []
+    real_embed = layers.patch_embed_forward
+
+    def embed(xb, p):
+        threads_at_embed.append(threading.active_count())
+        return real_embed(xb, p)
+
+    monkeypatch.setattr(sm, "ThreadPoolExecutor", NoSubmitPool)
+    monkeypatch.setattr(layers, "patch_embed_forward", embed)
     image = str(next((tiny_dataset / "01_checkerboard").glob("*.ppm")))
     capsys.readouterr()
     labels = []
+    before = threading.active_count()
     for flag in (["--threads", "1"], ["--threads", "2"], []):
         assert run_inproc(["predict", "--model", str(model), "--image", image, *flag]) == 0
         labels.append(capsys.readouterr().out)
     assert labels[0] in [f"{name}\n" for name in net.class_names] and labels == labels[:1] * 3
+    assert threads_at_embed == [before] * 3
 
 
 @pytest.mark.parametrize("command", ["split", "train"])
@@ -369,6 +383,49 @@ def test_non_finite_learning_rate_is_runtime_error(tmp_path, tiny_dataset, tiny_
         assert rc == 2
         assert f"lr_init must be finite, got {lr}" in capsys.readouterr().err
         assert not (tmp_path / "m.smxc").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--lr", "nan"], "lr_init must be finite, got nan"),
+    (["--epochs", "0"], "epochs must be >= 1, got 0"),
+    (["--batch", "0"], "batch_size must be >= 1, got 0"),
+])
+def test_train_checks_its_settings_before_reading_the_dataset(tmp_path, tiny_dataset, tiny_config, monkeypatch,
+                                                              capsys, flags, message):
+    def no_read(*args, **kwargs):
+        raise AssertionError("train read the dataset before checking its settings")
+
+    monkeypatch.setattr(dm, "split_arrays", no_read)
+    for data in (tiny_dataset, tmp_path / "nosuch"):
+        rc = run_inproc(["train", "--data", str(data), "--config", str(tiny_config), *flags,
+                         "--out", str(tmp_path / "m.smxc"), "--quiet"])
+        assert rc == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "m.smxc").exists()
+
+
+def test_non_rgb_model_is_refused_before_any_image_is_read(tmp_path, tiny_dataset, monkeypatch, capsys):
+    text = TINY_CONFIG_TEXT.replace("input=16x16x3", "input=16x16x1")
+    config = tmp_path / "gray.cfg"
+    config.write_text(text)
+    net = sm.build(sm.parse_config_text(text)[0], seed=0)
+    net.class_names = dm.load_dataset(tiny_dataset).class_names
+    model = tmp_path / "m.smxc"
+    sm.save(net, model)
+    image = str(next((tiny_dataset / "01_checkerboard").glob("*.ppm")))
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("an image was read for a model that cannot take it")
+
+    monkeypatch.setattr(dm, "read_ppm", no_read)
+    for args in (["train", "--data", str(tiny_dataset), "--config", str(config), "--epochs", "1",
+                  "--out", str(tmp_path / "out.smxc"), "--quiet"],
+                 ["eval", "--model", str(model), "--data", str(tiny_dataset)],
+                 ["predict", "--model", str(model), "--image", image]):
+        assert run_inproc(args) == 2, args[0]
+        err = capsys.readouterr().err
+        assert "error: the model reads 1-channel input, but PPM images are 3-channel RGB\n" in err, args[0]
+    assert not (tmp_path / "out.smxc").exists()
 
 
 @pytest.mark.parametrize("classes", ["3", "4"])
