@@ -319,40 +319,26 @@ def _cdf_slab(xs: Tensor, t: Tensor, e: Tensor, cdf: Tensor):
     np.subtract(t, cdf, out=cdf)
 
 
-def _slabwise(kernel, x: Tensor, n_out: int) -> list:
-    """Run kernel(xs, t, e, *outs) over 1-D slabs of x; returns n_out arrays shaped like x."""
-    outs = [np.empty(x.shape, x.dtype) for _ in range(n_out)]
-    src, dsts = x.reshape(-1), [o.reshape(-1) for o in outs]
+def gelu_forward(x: Tensor, mode: str):
+    _check_mode("gelu", mode)
+    out = np.empty(x.shape, x.dtype)
+    saved = {"d": np.empty(x.shape, x.dtype)} if mode == "train" else {}
+    src, dst, d = x.reshape(-1), out.reshape(-1), saved["d"].reshape(-1) if saved else None
     t_buf = np.empty(min(src.size, _SLAB), dtype=x.dtype)
     e_buf = np.empty_like(t_buf)
     with np.errstate(over="ignore"):  # x*x overflows to inf near float32 max; the tail is then 0
         for start in range(0, src.size, _SLAB):
-            xs = src[start : start + _SLAB]
-            kernel(xs, t_buf[: len(xs)], e_buf[: len(xs)], *(d[start : start + _SLAB] for d in dsts))
-    return outs
-
-
-def _normal_cdf(x: Tensor) -> Tensor:
-    """Standard normal CDF: the A&S fit for float32, `math.erfc` otherwise."""
-    return _slabwise(_cdf_slab, x, 1)[0]
-
-
-def _gelu_slab(xs: Tensor, t: Tensor, e: Tensor, out: Tensor, d: Tensor = None):
-    _cdf_slab(xs, t, e, out)
-    if d is not None:
-        np.multiply(xs, e, out=d)
-        d *= _INV_SQRT_2PI  # x pdf
-        d += out
-    out *= xs
-
-
-def gelu_forward(x: Tensor, mode: str):
-    _check_mode("gelu", mode)
-    if mode == "train":
-        out, d = _slabwise(_gelu_slab, x, 2)
-        return out, LayerCache("gelu", out.shape, {"d": d})
-    (out,) = _slabwise(_gelu_slab, x, 1)
-    return out, LayerCache("gelu", out.shape)
+            slab = slice(start, start + _SLAB)
+            xs, o = src[slab], dst[slab]
+            e = e_buf[: len(xs)]
+            _cdf_slab(xs, t_buf[: len(xs)], e, o)
+            if d is not None:  # train mode: d = cdf + x pdf
+                ds = d[slab]
+                np.multiply(xs, e, out=ds)
+                ds *= _INV_SQRT_2PI
+                ds += o
+            o *= xs
+    return out, LayerCache("gelu", out.shape, saved)
 
 
 def gelu_backward(cache: LayerCache, upstream: Tensor) -> Tensor:

@@ -16,13 +16,13 @@ Checkpoints use a small binary container (magic "SMXC"): little-endian
 u32 version, u32-length-prefixed UTF-8 config block of key=value lines,
 u32 tensor count, then per tensor a u32-length-prefixed UTF-8 name, u32
 rank, u64 extents and raw float32 data. `load` raises `CheckpointError`
-for any file that is not such a container for the config it embeds.
+for any file that is not such a container for the config it embeds, or
+whose tensors hold a non-finite value or a negative running variance.
 `save` writes a temp file beside the target and renames it over the
 target, so a failed save leaves the earlier file intact.
 """
 
 import contextlib
-import functools
 import math
 import struct
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -457,73 +457,66 @@ def _head(model: SceneMixerModel, pooled: Tensor):
 
 
 def _train_forward(model: SceneMixerModel, x: Tensor, rows: list):
-    """Train-mode (probs, ForwardCaches) of x over the chunks `rows`."""
-    depth = model.config.depth
+    """Train-mode (probs, ForwardCaches) of x: the chunks `rows` run `_chunk_forward` in lockstep."""
     chunks = [ChunkCaches(r) for r in rows]
-    pending = [None] * len(chunks)  # each chunk's GELU output, until its batch norm
-
-    def stage(i, stats, k):
-        # patch embed, or block i-1's batch norm; then block i up to its batch norm, or GAP
-        c = chunks[k]
-        if i == 0:
-            t, c.embed = layers.patch_embed_forward(x[c.rows], model.conv("embed"))
-        else:
-            t, c.blocks[i - 1].bn = layers.batch_norm_forward(pending[k], model.bn_states[i - 1], "train", stats)
-            pending[k] = None  # no cache holds the GELU output
-        if i == depth:
-            pooled, c.gap = layers.global_avg_pool_forward(t)
-            return pooled
-        pending[k], block = _mix(model, i, t, "train")
-        c.blocks.append(block)
-        return layers.batch_norm_moments(pending[k])
-
-    stats = None
-    for i in range(depth + 1):
-        out = _map_chunks(functools.partial(stage, i, stats), range(len(chunks)))
-        if i < depth:
-            stats = layers.batch_norm_statistics(model.bn_states[i], out)
+    # a generator keeps its last locals until this step drops the list as it returns
+    steps = [_chunk_forward(model, x, c) for c in chunks]
+    out = _map_chunks(next, steps)
+    for s in model.bn_states:
+        stats = layers.batch_norm_statistics(s, out)
+        out = _map_chunks(lambda step: step.send(stats), steps)
     # a pooled row and its head output do not depend on the rows beside it
     probs, dense_cache = _head(model, np.concatenate(out))
     return probs, ForwardCaches(chunks, dense_cache)
 
 
+def _chunk_forward(model: SceneMixerModel, x: Tensor, c: ChunkCaches):
+    """Train-mode forward of chunk c, filling its caches: yields each block's
+    GELU moments and is sent the batch's statistics, then yields the pooled rows."""
+    t, c.embed = layers.patch_embed_forward(x[c.rows], model.conv("embed"))
+    for i, s in enumerate(model.bn_states):
+        g, block = _mix(model, i, t, "train")
+        c.blocks.append(block)
+        stats = yield layers.batch_norm_moments(g)
+        t, block.bn = layers.batch_norm_forward(g, s, "train", stats)
+        del g  # no cache holds the GELU output
+    pooled, c.gap = layers.global_avg_pool_forward(t)
+    yield pooled
+
+
 def backward(model: SceneMixerModel, caches: ForwardCaches, dlogits: Tensor):
     """Per-parameter gradients given d(loss)/d(logits), keyed like `model.params`.
 
-    Runs over the forward's chunks like `forward`; the calling thread sums
-    the chunks' batch-norm and parameter-gradient partials in chunk order.
+    The forward's chunks run `_chunk_backward` in lockstep; the calling thread
+    sums their batch-norm partials at each yield and the rest at the end.
     """
-    depth = model.config.depth
     grads = {}
     dpooled, grads["head.weights"], grads["head.bias"] = layers.dense_backward(caches.dense, dlogits)
-    chunks = caches.chunks
-    pending = [dpooled[c.rows] for c in chunks]  # each chunk's upstream gradient
-
-    def stage(i, sums, k):
-        # GAP backward, or block i's backward from its batch norm on; then block
-        # i-1's batch-norm partials, or the patch embed backward, whose dx the model drops
-        c, du = chunks[k], pending[k]
-        part = {}
-        if i == depth:
-            dt = layers.global_avg_pool_backward(c.gap, du)
-        else:
-            dg, _, _ = layers.batch_norm_backward(c.blocks[i].bn, du, sums)
-            dt = _mix_backward(model, i, c.blocks[i], dg, part)
-        if i == 0:
-            _, part["embed.weights"], part["embed.bias"] = layers.patch_embed_backward(c.embed, dt)
-            return part, None
-        pending[k] = dt
-        return part, layers.batch_norm_partials(c.blocks[i - 1].bn, dt)
-
-    sums = None
-    for i in reversed(range(depth + 1)):
-        out = _map_chunks(functools.partial(stage, i, sums), range(len(chunks)))
-        for name in out[0][0]:
-            grads[name] = _sum_in_order([part[name] for part, _ in out])
-        if i > 0:
-            sums = tuple(_sum_in_order([bn[j] for _, bn in out]) for j in (0, 1))
-            grads[f"block{i - 1}.bn.gamma"], grads[f"block{i - 1}.bn.beta"] = sums
+    parts = [{} for _ in caches.chunks]  # each chunk's parameter-gradient partials
+    # a generator keeps its last locals until this step drops the list as it returns
+    steps = [_chunk_backward(model, c, dpooled[c.rows], part) for c, part in zip(caches.chunks, parts)]
+    out = _map_chunks(next, steps)
+    for i in reversed(range(model.config.depth)):
+        sums = tuple(_sum_in_order(p) for p in zip(*out))
+        grads[f"block{i}.bn.gamma"], grads[f"block{i}.bn.beta"] = sums
+        out = _map_chunks(lambda step: step.send(sums), steps)
+    for name in parts[0]:
+        grads[name] = _sum_in_order([part[name] for part in parts])
     return grads
+
+
+def _chunk_backward(model: SceneMixerModel, c: ChunkCaches, dpooled: Tensor, grads: dict):
+    """Backward of chunk c, writing its parameter-gradient partials into grads:
+    from the last block on, yields each block's batch-norm partials and is sent
+    the batch's (dgamma, dbeta); yields once more after the patch embed."""
+    dt = layers.global_avg_pool_backward(c.gap, dpooled)
+    for i in reversed(range(model.config.depth)):
+        block = c.blocks[i]
+        sums = yield layers.batch_norm_partials(block.bn, dt)
+        dt = _mix_backward(model, i, block, layers.batch_norm_backward(block.bn, dt, sums)[0], grads)
+    # the model drops patch embed's dx
+    _, grads["embed.weights"], grads["embed.bias"] = layers.patch_embed_backward(c.embed, dt)
+    yield
 
 
 def predict(model: SceneMixerModel, x: Tensor) -> np.ndarray:
@@ -542,12 +535,27 @@ class CheckpointError(ValueError):
 def save(model: SceneMixerModel, path):
     """Write the checkpoint atomically: a failed save leaves any earlier file at `path` intact.
 
-    Raises ValueError, before writing, on class names that `load` would
-    read back differently or reject.
+    Raises ValueError, before writing, on class names or tensor values that
+    `load` would read back differently or reject.
     """
     if model.class_names:
         check_class_names(model.class_names, model.config.num_classes)
+    _check_tensor_values(model)
     write_atomic(path, _checkpoint_chunks(model))
+
+
+def _check_tensor_values(model: SceneMixerModel):
+    """Raise CheckpointError, naming the tensor, on a value that is not finite
+    as stored, or on a negative running variance."""
+    for name, t in model.all_tensors().items():
+        with np.errstate(over="ignore"):  # a float64 value beyond float32's range is stored as inf
+            t = t.astype("<f4", copy=False)
+        ok = np.isfinite(t)
+        if name.endswith(".running_var"):
+            ok &= t >= 0
+        if not ok.all():
+            index = tuple(int(i) for i in np.argwhere(~ok)[0])
+            raise CheckpointError(f"tensor {name}: value {t[index]} at index {index} is not finite, or a negative variance")
 
 
 def _checkpoint_chunks(model: SceneMixerModel):
@@ -640,5 +648,6 @@ def load(path) -> SceneMixerModel:
         if tensors[name].shape != t.shape:
             raise CheckpointError(f"tensor {name}: shape {tensors[name].shape} != {t.shape} expected from config")
         t[:] = tensors[name]
+    _check_tensor_values(model)
     model.class_names = class_names
     return model

@@ -634,6 +634,23 @@ def test_eval_on_class_folders_other_than_the_checkpoints_is_runtime_error(tmp_p
     assert out.out == "" and not cm.exists()
 
 
+@pytest.mark.parametrize("name, value", [("head.weights", np.nan), ("block0.bn.running_var", -1.0)])
+def test_eval_and_predict_refuse_a_checkpoint_with_a_bad_tensor_value(tmp_path, tiny_dataset, capsys, name, value):
+    config, _ = sm.parse_config_text(TINY_CONFIG_TEXT)
+    net = sm.build(config, seed=0)
+    net.class_names = dm.load_dataset(tiny_dataset).class_names
+    net.all_tensors()[name].flat[0] = value
+    model, cm = tmp_path / "m.smxc", tmp_path / "cm.csv"
+    model.write_bytes(b"".join(sm._checkpoint_chunks(net)))  # save refuses such a model
+    capsys.readouterr()
+    assert run_inproc(["eval", "--model", str(model), "--data", str(tiny_dataset), "--confusion", str(cm)]) == 2
+    image = next((tiny_dataset / net.class_names[0]).glob("*.ppm"))
+    assert run_inproc(["predict", "--model", str(model), "--image", str(image)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count(f"error: tensor {name}: value") == 2, out.err
+    assert not cm.exists()
+
+
 def test_eval_class_name_mismatch_message_stays_bounded(tmp_path, capsys):
     data = tmp_path / "data"
     dm.write_dataset(dm.synth_generate(2, 4, side=16, seed=5), data)

@@ -265,9 +265,17 @@ F32_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, F32_MAX, -F32_MAX],
 CDF_TOL = 3e-7  # absolute: the erfc fit's 7.5e-8 plus float32 rounding
 
 
+def _normal_cdf(x):
+    """The normal CDF of the 1-D array x, as `gelu_forward` computes it, over x as one slab."""
+    cdf, t, e = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    with np.errstate(over="ignore"):  # as in gelu_forward: x*x overflows near float32 max
+        layers._cdf_slab(x, t, e, cdf)
+    return cdf
+
+
 def test_float32_normal_cdf_matches_float64_ndtr():
     x = np.concatenate([np.linspace(-40, 40, 1_600_001, dtype=np.float32), F32_SPECIALS])
-    got = layers._normal_cdf(x)
+    got = _normal_cdf(x)
     want = ndtr(x.astype(np.float64))
     assert got.dtype == np.float32 and got.shape == x.shape
     assert np.array_equal(np.isnan(got), np.isnan(x))
@@ -290,12 +298,19 @@ def test_float32_gelu_non_finite_like_ndtr():
 @pytest.mark.parametrize("size", [1, layers._SLAB - 1, layers._SLAB, layers._SLAB + 1])
 def test_float32_normal_cdf_slab_edges(size):
     x = np.linspace(-9, 9, layers._SLAB + 1, dtype=np.float32)[:size]
-    got = layers._normal_cdf(x)
-    assert got.shape == (size,)
-    assert np.max(np.abs(got - ndtr(x.astype(np.float64)))) < CDF_TOL
-    # elementwise: where a value sits relative to the slab bounds does not change it
+    cdf = _normal_cdf(x)
+    assert np.max(np.abs(cdf - ndtr(x.astype(np.float64)))) < CDF_TOL
     picks = np.unique(np.r_[np.arange(0, size, 997), size - 1])
-    assert got[picks].tobytes() == np.concatenate([layers._normal_cdf(x[i : i + 1]) for i in picks]).tobytes()
+    for mode in ("train", "infer"):
+        out, cache = layers.gelu_forward(x, mode)
+        assert out.shape == (size,)
+        # gelu_forward's slab loop gives every element the CDF of the one-slab pass
+        assert out.tobytes() == (x * cdf).tobytes(), mode
+        # elementwise: where a value sits relative to the slab bounds does not change it
+        single = [layers.gelu_forward(x[i : i + 1], mode) for i in picks]
+        assert out[picks].tobytes() == np.concatenate([s[0] for s in single]).tobytes(), mode
+        for key in cache.saved:  # train mode's derivative, the same way
+            assert cache.saved[key][picks].tobytes() == np.concatenate([s[1].saved[key] for s in single]).tobytes()
 
 
 def test_float32_gelu_batch_equals_per_image_bytes(rng):
@@ -318,7 +333,7 @@ def test_float64_gelu_cdf_matches_ndtr():
     x = np.concatenate([np.linspace(-40, 40, 800_001), specials])
     with np.errstate(invalid="ignore"):  # -inf * 0
         out = layers.gelu_forward(x, "infer")[0]
-        cdf = layers._normal_cdf(x)
+        cdf = _normal_cdf(x)
         want = x * cdf
     assert cdf.dtype == np.float64 and cdf.shape == x.shape
     assert np.max(np.abs(cdf[:-1] - ndtr(x[:-1]))) <= 1e-15

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import struct
 import sys
 import threading
@@ -280,6 +281,24 @@ def test_train_step_on_more_threads_than_cores_loses_no_update(rng, monkeypatch)
     finally:
         sys.setswitchinterval(interval)
     assert runs[1] == runs[0]
+
+
+def test_pooled_train_forward_merges_each_batch_norm_once_in_chunk_order(rng, monkeypatch):
+    # 33 images run as 4 chunks of 8 and one of 1, each image 256 tokens: a
+    # merge in completion order would move the 1-image chunk's moments
+    real = layers.batch_norm_statistics
+    calls = []
+
+    def statistics(s, parts):
+        calls.append((s, [p.count for p in parts]))
+        return real(s, parts)
+
+    monkeypatch.setattr(layers, "batch_norm_statistics", statistics)
+    net = sm.build(sm.ModelConfig.eurosat_default(), seed=0)
+    with sm.use_threads(2):
+        sm.forward(net, rng.random((33, 64, 64, 3), dtype=np.float32), "train")
+    assert all(s is b for (s, _), b in zip(calls, net.bn_states))
+    assert [counts for _, counts in calls] == [[2048, 2048, 2048, 2048, 256]] * net.config.depth
 
 
 @pytest.mark.parametrize("depth", [1, 2])
@@ -876,6 +895,39 @@ def test_checkpoint_mutations_give_a_model_or_checkpoint_error(tmp_path):
         except Exception as exc:  # noqa: BLE001 -- any other type is the failure under test
             other.append(f"{type(exc).__name__}: {exc}")
     assert not other, f"{len(other)} of {len(mutants)} mutants raised another error, e.g. {other[:3]}"
+
+
+BAD_VALUES = [
+    ("head.weights", (1, 0), np.nan),
+    ("embed.bias", (1,), -np.inf),
+    ("block0.bn.running_var", (0,), -1.0),
+]
+
+
+@pytest.mark.parametrize("name, index, value", BAD_VALUES)
+def test_load_rejects_a_non_finite_value_or_negative_running_variance(tmp_path, name, index, value):
+    net = sm.build(TINY, seed=4)
+    net.all_tensors()[name][index] = value
+    path = tmp_path / "m.smxc"
+    path.write_bytes(b"".join(sm._checkpoint_chunks(net)))  # save refuses such a model
+    with pytest.raises(sm.CheckpointError, match=re.escape(f"tensor {name}: value {value} at index {index} ")):
+        sm.load(path)
+
+
+@pytest.mark.parametrize("name, index, value, dtype", [
+    *((*case, np.float32) for case in BAD_VALUES),
+    ("head.bias", (0,), 1e300, np.float64),  # finite in float64, inf as stored
+])
+def test_save_refuses_what_load_rejects_and_keeps_the_target(tmp_path, name, index, value, dtype):
+    path = tmp_path / "m.smxc"
+    net = sm.build(TINY, seed=4, dtype=dtype)
+    sm.save(net, path)
+    before = path.read_bytes()
+    net.all_tensors()[name][index] = value
+    with pytest.raises(sm.CheckpointError, match=f"tensor {name}: value"):
+        sm.save(net, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.smxc"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Every private module-level function or class of the library has a library caller."""
+"""Every private module-level function or class of the library has a library
+caller, and every module uses each name it imports."""
 
 import ast
 import pathlib
@@ -8,9 +9,7 @@ import scenemixer
 PACKAGE = pathlib.Path(scenemixer.__file__).resolve().parent
 
 # private definitions that only tests call, each with the reason it stays
-TEST_ONLY = {
-    ("layers", "_normal_cdf"): "the seam through which tests/test_layers.py checks the GELU CDF's accuracy",
-}
+TEST_ONLY = {}
 
 
 def _trees() -> dict:
@@ -66,3 +65,19 @@ def test_every_listed_exception_still_has_no_library_caller():
         definitions = [d for d in _private_definitions(trees[module]) if d.name == name]
         assert definitions, f"{module}.{name} is gone; drop it from TEST_ONLY ({reason})"
         assert not _library_uses(trees, module, definitions[0]), f"{module}.{name} has a library caller now"
+
+
+def _imported_names(tree):
+    """(name bound, line) of each import in tree, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], node.lineno
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for module, tree in _trees().items():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{module}:{line} {name}" for name, line in _imported_names(tree) if name not in used]
+    assert unused == [], f"imported names that no code of their module uses: {unused}"
