@@ -25,7 +25,7 @@ x = rng.standard_normal((1, 6, 6, 2))
 p = ConvParams(rng.standard_normal((3, 3, 2)), rng.standard_normal(2))
 out, cache = layers.depthwise_conv_forward(x, p)
 direction = rng.standard_normal(out.shape)
-dx, dw, db = layers.depthwise_conv_backward(cache, direction)
+dx, dw, db = layers.depthwise_conv_backward(cache, direction, x)
 
 numeric_dw = finite_diff_grad(
     lambda w: float(np.sum(layers.depthwise_conv_forward(x, ConvParams(w, p.bias))[0] * direction)),

@@ -4,6 +4,14 @@ Each `*_forward` returns (output, LayerCache); the matching `*_backward`
 consumes the cache exactly once and returns gradients that are exact for
 the implemented forward (validated against central finite differences).
 `*_forward(...)[0]` is the output alone; each layer has no other entry point.
+Only this module reads or writes a cache's `saved` dict.
+
+A cache keeps no array that the caller holds anyway. Patch embed keeps its
+input, not an im2col copy, and its backward rebuilds the rows. A depthwise
+cache keeps only its weights: `depthwise_conv_backward(cache, upstream, x)`
+takes the input from the caller, which holds it once for every branch. A
+train-mode batch norm keeps `xhat`, and `batch_norm_output(cache)` rebuilds
+the forward's output from it byte for byte, so a caller need not keep both.
 
 Inputs are (n, y, x, c) arrays. Convolution weights are stored as
 (p, p, c_in, d) for the patch embedding, (k, k, c) for depthwise filters
@@ -66,13 +74,14 @@ class LayerCache:
     consumed: bool = False
 
 
-def _check_cache(cache: LayerCache, layer: str, upstream: Tensor) -> dict:
-    """cache.saved, once cache is an unconsumed `layer` cache for upstream's shape."""
+def _check_cache(cache: LayerCache, layer: str, upstream) -> dict:
+    """cache.saved, once cache is an unconsumed `layer` cache for upstream's
+    shape; an upstream of None skips the shape check."""
     if cache.layer != layer:
-        raise ValueError(f"cache from {cache.layer!r} passed to {layer}_backward")
+        raise ValueError(f"a {cache.layer!r} cache passed where a {layer!r} cache is needed")
     if cache.consumed:
         raise RuntimeError(f"{layer} cache already consumed by a previous backward call")
-    if tuple(upstream.shape) != cache.out_shape:
+    if upstream is not None and tuple(upstream.shape) != cache.out_shape:
         raise ShapeError(
             f"{layer}_backward: upstream shape {tuple(upstream.shape)} != forward output shape {cache.out_shape}"
         )
@@ -123,6 +132,18 @@ def _record(layer: str, mults: int):
 # ---------------------------------------------------------------------------
 # patch embedding: non-overlapping pxp convolution with stride p
 
+def _patch_rows(x: Tensor, patch: int) -> Tensor:
+    """im2col of x: one row per token, the flattened (patch, patch, c_in)
+    patch, in the row-major order of the leading weight axes."""
+    n, h, w, c_in = x.shape
+    gh, gw = h // patch, w // patch
+    return (
+        x.reshape(n, gh, patch, gw, patch, c_in)
+        .transpose(0, 1, 3, 2, 4, 5)
+        .reshape(n * gh * gw, patch * patch * c_in)
+    )
+
+
 def patch_embed_forward(x: Tensor, p: ConvParams):
     n, h, w, c_in = x.shape
     pw = p.weights
@@ -135,34 +156,27 @@ def patch_embed_forward(x: Tensor, p: ConvParams):
     if p.bias.shape != (d,):
         raise ShapeError(f"patch bias shape {p.bias.shape} != ({d},)")
     gh, gw = h // patch, w // patch
-    # im2col: each token row is one flattened patch, matching the row-major
-    # flattening of the (patch, patch, c_in) leading weight axes
-    cols = (
-        x.reshape(n, gh, patch, gw, patch, c_in)
-        .transpose(0, 1, 3, 2, 4, 5)
-        .reshape(n * gh * gw, patch * patch * c_in)
-    )
-    w2 = pw.reshape(patch * patch * c_in, d)
-    out = cols @ w2
+    out = _patch_rows(x, patch) @ pw.reshape(patch * patch * c_in, d)
     out += p.bias  # in place: no second activation-size array
     out = out.reshape(n, gh, gw, d)
     _record("patch_embed", n * gh * gw * patch * patch * c_in * d)
-    cache = LayerCache("patch_embed", out.shape, {"cols": cols, "weights": pw, "x_shape": x.shape})
+    # x, which the caller holds anyway, not its im2col copy: the backward rebuilds the rows
+    cache = LayerCache("patch_embed", out.shape, {"x": x, "weights": pw})
     return out, cache
 
 
 
 def patch_embed_backward(cache: LayerCache, upstream: Tensor):
     saved = _consume(cache, "patch_embed", upstream)
-    cols, pw = saved["cols"], saved["weights"]
-    n, h, w, c_in = saved["x_shape"]
+    x, pw = saved["x"], saved["weights"]
+    n, h, w, c_in = x.shape
     patch = pw.shape[0]
     gh, gw = h // patch, w // patch
     d = pw.shape[3]
     du = upstream.reshape(n * gh * gw, d)
     w2 = pw.reshape(-1, d)
     dcols = du @ w2.T
-    dw = (cols.T @ du).reshape(pw.shape)
+    dw = (_patch_rows(x, patch).T @ du).reshape(pw.shape)
     db = du.sum(axis=0)
     # patches are disjoint, so folding back is a pure reshape
     dx = (
@@ -216,15 +230,17 @@ def depthwise_conv_forward(x: Tensor, p: ConvParams):
     out = _row_taps(x, w).astype(x.dtype, copy=False)
     out += p.bias
     _record("depthwise_conv", n * h * ww * c * k * k)
-    # x itself, not a padded copy: parallel branches over one input share it
-    cache = LayerCache("depthwise_conv", out.shape, {"x": x, "weights": w})
+    # no input: the caller holds it once for every branch and hands it to the backward
+    cache = LayerCache("depthwise_conv", out.shape, {"weights": w})
     return out, cache
 
 
 
-def depthwise_conv_backward(cache: LayerCache, upstream: Tensor):
-    saved = _consume(cache, "depthwise_conv", upstream)
-    x, w = saved["x"], saved["weights"]
+def depthwise_conv_backward(cache: LayerCache, upstream: Tensor, x: Tensor):
+    """(dx, dw, db); x is the input the forward was given."""
+    if tuple(x.shape) != cache.out_shape:
+        raise ShapeError(f"depthwise_conv_backward: input shape {tuple(x.shape)} != output shape {cache.out_shape}")
+    w = _consume(cache, "depthwise_conv", upstream)["weights"]
     k = w.shape[0]
     dw = np.einsum("nyxcij,nyxc->ijc", _windows(x, k), upstream).astype(w.dtype, copy=False)
     db = upstream.sum(axis=(0, 1, 2))
@@ -421,19 +437,39 @@ def batch_norm_forward(x: Tensor, s: BatchNormState, mode: str, stats=None):
         count, mean, inv = stats
         xhat = flat - mean
         xhat *= inv
-        out = np.multiply(xhat, s.gamma)
-        out += s.beta
-        saved = {"xhat": xhat.reshape(x.shape), "inv": inv, "gamma": s.gamma, "count": count, "mode": mode}
-    else:
-        # one scale and one shift per channel: x (gamma inv) + (beta - mean gamma inv)
-        inv = 1.0 / np.sqrt(s.running_var + s.epsilon)
-        scale = s.gamma * inv
-        out = np.multiply(flat, scale)
-        out += s.beta - s.running_mean * scale
-        # train-mode calls update running_mean in place, so the cache keeps a copy
-        saved = {"x": x, "mean": s.running_mean.copy(), "inv": inv, "gamma": s.gamma, "mode": mode}
+        saved = {"xhat": xhat.reshape(x.shape), "inv": inv, "gamma": s.gamma, "beta": s.beta, "count": count,
+                 "mode": mode, "dtype": x.dtype}
+        return _bn_affine(saved), LayerCache("batch_norm", x.shape, saved)
+    # one scale and one shift per channel: x (gamma inv) + (beta - mean gamma inv)
+    inv = 1.0 / np.sqrt(s.running_var + s.epsilon)
+    scale = s.gamma * inv
+    out = np.multiply(flat, scale)
+    out += s.beta - s.running_mean * scale
+    # train-mode calls update running_mean in place, so the cache keeps a copy
+    saved = {"x": x, "mean": s.running_mean.copy(), "inv": inv, "gamma": s.gamma, "mode": mode}
     out = out.reshape(x.shape).astype(x.dtype, copy=False)
     return out, LayerCache("batch_norm", out.shape, saved)
+
+
+def _bn_affine(saved: dict) -> Tensor:
+    """xhat gamma + beta of a train-mode cache, in the dtype of the forward's input."""
+    out = np.multiply(saved["xhat"], saved["gamma"])
+    out += saved["beta"]
+    return out.astype(saved["dtype"], copy=False)
+
+
+def _train_saved(cache: LayerCache, upstream, caller: str) -> dict:
+    """`_check_cache` of an unconsumed batch-norm cache, which must be train-mode."""
+    saved = _check_cache(cache, "batch_norm", upstream)
+    if saved["mode"] != "train":
+        raise ValueError(f"{caller} needs a train-mode cache")
+    return saved
+
+
+def batch_norm_output(cache: LayerCache) -> Tensor:
+    """The output of the train-mode forward that made cache, rebuilt byte for
+    byte from its xhat; reads the cache without consuming it."""
+    return _bn_affine(_train_saved(cache, None, "batch_norm_output"))
 
 
 def _bn_sums(u: Tensor, xh: Tensor):
@@ -443,9 +479,7 @@ def _bn_sums(u: Tensor, xh: Tensor):
 
 def batch_norm_partials(cache: LayerCache, upstream: Tensor):
     """A train-mode chunk's share of (dgamma, dbeta); reads the cache without consuming it."""
-    saved = _check_cache(cache, "batch_norm", upstream)
-    if saved["mode"] != "train":
-        raise ValueError("batch_norm_partials needs a train-mode cache")
+    saved = _train_saved(cache, upstream, "batch_norm_partials")
     c = saved["gamma"].shape[0]
     return _bn_sums(upstream.reshape(-1, c), saved["xhat"].reshape(-1, c))
 

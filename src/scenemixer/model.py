@@ -10,7 +10,11 @@ threads as `use_threads` allows. In infer mode each chunk runs the whole
 graph, and an image's probabilities do not depend on its batch, its chunk
 or the thread count. In train mode the chunks meet at each batch norm,
 whose statistics are merged from theirs in chunk order, and nothing a step
-computes depends on the thread count.
+computes depends on the thread count. A train step caches each activation
+once: per chunk, block 0's input and, per block, the pointwise input, the
+GELU derivative and the batch-norm `xhat`. The backward rebuilds each later
+block's input from the `xhat` of the batch norm before it, with
+`layers.batch_norm_output`.
 
 Checkpoints use a small binary container (magic "SMXC"): little-endian
 u32 version, u32-length-prefixed UTF-8 config block of key=value lines,
@@ -350,6 +354,8 @@ class ChunkCaches:
 
     rows: slice  # the chunk's images in the batch
     embed: LayerCache = None
+    # block 0's input; each later block's is rebuilt from the batch-norm cache before it
+    block_input: Tensor = None
     blocks: list = field(default_factory=list)  # one BlockCache per block
     gap: LayerCache = None
 
@@ -374,8 +380,9 @@ def _mix(model: SceneMixerModel, i: int, t: Tensor, mode: str):
     return g, BlockCache(list(dw_caches), pw_cache, gelu_cache)
 
 
-def _mix_backward(model: SceneMixerModel, i: int, cache: BlockCache, dg: Tensor, grads: dict) -> Tensor:
-    """Write block i's GELU, pointwise and depthwise gradients into grads; return d(loss)/d(block input)."""
+def _mix_backward(model: SceneMixerModel, i: int, cache: BlockCache, dg: Tensor, t: Tensor, grads: dict) -> Tensor:
+    """Write block i's GELU, pointwise and depthwise gradients into grads, given
+    its input t; return d(loss)/d(block input)."""
     dh = layers.gelu_backward(cache.gelu, dg)
     dmerged, grads[f"block{i}.pw.weights"], grads[f"block{i}.pw.bias"] = layers.pointwise_conv_backward(
         cache.pw, dh
@@ -383,7 +390,7 @@ def _mix_backward(model: SceneMixerModel, i: int, cache: BlockCache, dg: Tensor,
     dxs = []
     for k, dw_cache in zip(model.config.kernels, cache.dw):
         dx, grads[f"block{i}.dw{k}.weights"], grads[f"block{i}.dw{k}.bias"] = layers.depthwise_conv_backward(
-            dw_cache, dmerged
+            dw_cache, dmerged, t
         )
         dxs.append(dx)
     return _sum_in_order(dxs)
@@ -442,7 +449,7 @@ def forward(model: SceneMixerModel, x: Tensor, mode: str):
 
 def _infer_network(model: SceneMixerModel, x: Tensor) -> Tensor:
     """Infer-mode probabilities of x, already in the model's dtype."""
-    t = layers.patch_embed_forward(x, model.conv("embed"))[0]  # drops the cache's im2col copy of x
+    t = layers.patch_embed_forward(x, model.conv("embed"))[0]
     for i in range(model.config.depth):
         # no name holds the GELU output, so it is freed as its batch norm returns
         t = layers.batch_norm_forward(_mix(model, i, t, "infer")[0], model.bn_states[i], "infer")[0]
@@ -474,6 +481,7 @@ def _chunk_forward(model: SceneMixerModel, x: Tensor, c: ChunkCaches):
     """Train-mode forward of chunk c, filling its caches: yields each block's
     GELU moments and is sent the batch's statistics, then yields the pooled rows."""
     t, c.embed = layers.patch_embed_forward(x[c.rows], model.conv("embed"))
+    c.block_input = t
     for i, s in enumerate(model.bn_states):
         g, block = _mix(model, i, t, "train")
         c.blocks.append(block)
@@ -513,7 +521,12 @@ def _chunk_backward(model: SceneMixerModel, c: ChunkCaches, dpooled: Tensor, gra
     for i in reversed(range(model.config.depth)):
         block = c.blocks[i]
         sums = yield layers.batch_norm_partials(block.bn, dt)
-        dt = _mix_backward(model, i, block, layers.batch_norm_backward(block.bn, dt, sums)[0], grads)
+        dt = layers.batch_norm_backward(block.bn, dt, sums)[0]  # d(loss)/d(GELU output)
+        # block i's input, rebuilt from block i-1's batch-norm cache, which is not
+        # consumed yet; `del` frees it before the next yield
+        t = layers.batch_norm_output(c.blocks[i - 1].bn) if i else c.block_input
+        dt = _mix_backward(model, i, block, dt, t, grads)
+        del t
     # the model drops patch embed's dx
     _, grads["embed.weights"], grads["embed.bias"] = layers.patch_embed_backward(c.embed, dt)
     yield

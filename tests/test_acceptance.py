@@ -106,7 +106,7 @@ def test_criterion_04_gradient_suite():
             p = ConvParams(rng.standard_normal((k, k, 2)), rng.standard_normal(2))
             out, cache = layers.depthwise_conv_forward(x, p)
             r = rng.standard_normal(out.shape)
-            dx, dw, db = layers.depthwise_conv_backward(cache, r)
+            dx, dw, db = layers.depthwise_conv_backward(cache, r, x)
             track(dx, finite_diff_grad(lambda t: float(np.sum(layers.depthwise_conv_forward(t, p)[0] * r)), x))
             track(dw, finite_diff_grad(
                 lambda t: float(np.sum(layers.depthwise_conv_forward(x, ConvParams(t, p.bias))[0] * r)), p.weights))

@@ -59,6 +59,12 @@ def test_traced_train_records_every_layer_span(tmp_path, capsys):
     for name, _, _, parent, *_ in tracer.spans:
         if name.startswith("layers.depthwise_conv.") and name.endswith(".fwd"):
             assert parent < 0 or not tracer.spans[parent][0].endswith(".bwd"), tracer.spans[parent][0]
+    # nor may model.backward: the block inputs it rebuilds are backward time
+    for name, _, _, parent, *_ in tracer.spans:
+        if name.startswith("layers.") and name.endswith(".fwd"):
+            while parent >= 0:
+                assert tracer.spans[parent][0] != "model.backward", name
+                parent = tracer.spans[parent][3]
 
 
 def test_traced_eval_makes_one_forward_span_per_predict(tmp_path, capsys):

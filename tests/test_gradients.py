@@ -58,7 +58,7 @@ def test_depthwise_grads(seed, k):
     b = rng.standard_normal(3)
     out, cache = layers.depthwise_conv_forward(x, ConvParams(w, b))
     r = _proj(rng, out.shape)
-    dx, dw, db = layers.depthwise_conv_backward(cache, r)
+    dx, dw, db = layers.depthwise_conv_backward(cache, r, x)
 
     def run(x_, w_, b_):
         return float(np.sum(layers.depthwise_conv_forward(x_, ConvParams(w_, b_))[0] * r))
@@ -84,8 +84,9 @@ def test_depthwise_grads_across_batch_blocks(n, k, dtype):
     rng = _rng(10 * n + k)
     x, w, b = _exact(rng, (n, 6, 5, 3)), _exact(rng, (k, k, 3)), _exact(rng, 3)
     r = _exact(rng, (n, 6, 5, 3))
-    out, cache = layers.depthwise_conv_forward(x.astype(dtype), ConvParams(w.astype(dtype), b.astype(dtype)))
-    dx, dw, db = layers.depthwise_conv_backward(cache, r.astype(dtype))
+    xd = x.astype(dtype)
+    out, cache = layers.depthwise_conv_forward(xd, ConvParams(w.astype(dtype), b.astype(dtype)))
+    dx, dw, db = layers.depthwise_conv_backward(cache, r.astype(dtype), xd)
     assert out.dtype == dx.dtype == dw.dtype == db.dtype == dtype
 
     def run(x_, w_, b_):

@@ -130,7 +130,7 @@ def test_depthwise_mixed_dtypes_keep_input_dtypes(rng, x_dtype, w_dtype):
     p = ConvParams(rng.standard_normal((3, 3, 3)).astype(w_dtype), rng.standard_normal(3).astype(w_dtype))
     out, cache = layers.depthwise_conv_forward(x, p)
     upstream = rng.standard_normal(out.shape).astype(w_dtype)
-    dx, dw, db = layers.depthwise_conv_backward(cache, upstream)
+    dx, dw, db = layers.depthwise_conv_backward(cache, upstream, x)
     assert out.dtype == dx.dtype == x_dtype
     assert dw.dtype == w_dtype and db.dtype == upstream.dtype
 
@@ -156,7 +156,7 @@ def test_depthwise_row_taps_match_window_contraction(rng, k, shape, x_dtype, w_d
     want += p.bias
     assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
     upstream = rng.standard_normal(shape).astype(x_dtype)
-    dx = layers.depthwise_conv_backward(cache, upstream)[0]
+    dx = layers.depthwise_conv_backward(cache, upstream, x)[0]
     want_dx = _window_contraction(upstream, p.weights[::-1, ::-1]).astype(x_dtype)
     assert dx.dtype == want_dx.dtype and dx.tobytes() == want_dx.tobytes()
 
@@ -186,6 +186,16 @@ def test_depthwise_rejects_channel_mismatch():
     x = np.zeros((1, 4, 4, 3))
     with pytest.raises(ShapeError):
         layers.depthwise_conv_forward(x, _params(np.zeros((3, 3, 2))))[0]
+
+
+def test_depthwise_backward_takes_the_forward_input_and_checks_its_shape(rng):
+    x = rng.standard_normal((2, 4, 4, 3))
+    out, cache = layers.depthwise_conv_forward(x, _params(rng.standard_normal((3, 3, 3))))
+    assert list(cache.saved) == ["weights"]  # the caller holds the input
+    with pytest.raises(ShapeError, match="input shape"):
+        layers.depthwise_conv_backward(cache, out, x[:1])
+    assert not cache.consumed
+    layers.depthwise_conv_backward(cache, out, x)
 
 
 def test_depthwise_translation_equivariance(rng):
@@ -478,6 +488,35 @@ def test_batch_norm_rejects_single_element():
         layers.batch_norm_forward(np.zeros((1, 1, 1, 2)), _bn_state(2), "train")[0]
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batch_norm_output_rebuilds_the_train_output_byte_for_byte(rng, dtype):
+    x = (rng.standard_normal((4, 3, 5, 6)) * 3 + 1).astype(dtype)
+    s = _bn_state(6, dtype=dtype)
+    s.gamma[:] = rng.standard_normal(6)
+    s.beta[:] = rng.standard_normal(6)
+    whole = layers.batch_norm_forward(x, s, "train")
+    # a chunk normalized with the statistics of the batch it is part of
+    stats = layers.batch_norm_statistics(s, [layers.batch_norm_moments(x[:1]), layers.batch_norm_moments(x[1:])])
+    chunk = layers.batch_norm_forward(x[1:], s, "train", stats)
+    for out, cache in (whole, chunk):
+        rebuilt = layers.batch_norm_output(cache)
+        assert rebuilt.dtype == dtype and rebuilt.shape == out.shape and rebuilt.tobytes() == out.tobytes()
+        assert rebuilt is not out and not cache.consumed
+        layers.batch_norm_backward(cache, np.ones_like(out), layers.batch_norm_partials(cache, np.ones_like(out)))
+
+
+def test_batch_norm_output_needs_an_unconsumed_train_cache(rng):
+    x = rng.standard_normal((2, 3, 3, 2))
+    with pytest.raises(ValueError, match="train-mode"):
+        layers.batch_norm_output(layers.batch_norm_forward(x, _bn_state(2), "infer")[1])
+    with pytest.raises(ValueError, match="'gelu' cache"):
+        layers.batch_norm_output(layers.gelu_forward(x, "train")[1])
+    out, cache = layers.batch_norm_forward(x, _bn_state(2), "train")
+    layers.batch_norm_backward(cache, out)
+    with pytest.raises(RuntimeError, match="consumed"):
+        layers.batch_norm_output(cache)
+
+
 # ---------------------------------------------------------------------------
 # global average pooling
 
@@ -578,7 +617,7 @@ def test_dense_backward_bias_is_column_sums(rng):
 def test_zero_upstream_gives_zero_grads(rng):
     x = rng.standard_normal((2, 4, 4, 3))
     out, cache = layers.depthwise_conv_forward(x, _params(rng.standard_normal((3, 3, 3))))
-    dx, dw, db = layers.depthwise_conv_backward(cache, np.zeros_like(out))
+    dx, dw, db = layers.depthwise_conv_backward(cache, np.zeros_like(out), x)
     assert not dx.any() and not dw.any() and not db.any()
 
 

@@ -213,9 +213,9 @@ def test_use_threads_starts_threads_only_for_work_it_submits(rng, monkeypatch):
 
 
 def test_pooled_train_step_peak_stays_near_the_serial_one(rng):
-    # a 32-image step at the bench config peaked at 79.1 MB (75.4 one-chunk
-    # activations of (8, 16, 16, 128) float32) on 1 thread and at 84.0-85.2 MB
-    # (80.1-81.3) on 2: the second thread holds one more chunk's working set
+    # a 32-image step at the bench config peaked at 64.9 MB (61.9 one-chunk
+    # activations of (8, 16, 16, 128) float32) on 1 thread and at 71.1 MB
+    # (67.8) on 2: the second thread holds one more chunk's working set
     cfg = sm.ModelConfig(input_h=64, input_w=64, input_c=3, num_classes=6)
     x = rng.random((32, 64, 64, 3), dtype=np.float32)
     labels = rng.integers(0, 6, 32)
@@ -477,21 +477,78 @@ def test_zeroed_branch_equals_single_kernel_model(rng):
     assert np.array_equal(a, b)
 
 
-def test_train_caches_share_block_input_and_hold_no_padded_copy(rng):
-    cfg = sm.ModelConfig(input_h=16, input_w=16, input_c=3, patch=4, embed_dim=8,
-                         depth=2, kernels=(3, 5), num_classes=3)
+def _cached_arrays(obj):
+    """Every ndarray that train-mode caches refer to, once per reference."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from _cached_arrays(v)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _cached_arrays(v)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _cached_arrays(getattr(obj, f.name))
+
+
+def test_train_step_caches_each_activation_once(rng):
+    """A 32-image bench-config step runs as 4 chunks of 8 images. Each chunk
+    keeps block 0's input and, per block, the pointwise input, the GELU
+    derivative and the batch-norm xhat: 13 one-chunk activations. Later block
+    inputs are rebuilt from xhat, the depthwise caches keep only weights, and
+    patch embed keeps a view of the batch, which the caller holds anyway."""
+    cfg = sm.ModelConfig(input_h=64, input_w=64, input_c=3, num_classes=6)
     net = sm.build(cfg, seed=0)
-    _, caches = sm.forward(net, rng.random((5, 16, 16, 3), dtype=np.float32), "train")
-    (chunk,) = caches.chunks
-    for block in chunk.blocks:
-        dw3, dw5 = block.dw
-        x = dw3.saved["x"]
-        assert dw5.saved["x"] is x
-        for cache in (dw3, dw5):
-            arrays = [v for v in cache.saved.values() if isinstance(v, np.ndarray)]
-            assert all(a is x or a is cache.saved["weights"] for a in arrays)
-        gelu = block.gelu.saved
-        assert list(gelu) == ["d"] and gelu["d"].dtype == np.float32
+    x = rng.random((32, 64, 64, 3), dtype=np.float32)
+    _, caches = sm.forward(net, x, "train")
+    activation = 8 * cfg.tokens * cfg.embed_dim * 4  # one chunk's block activation: 1 MiB
+    assert len(caches.chunks) == 4
+    held = [x, *net.all_tensors().values()]  # the caller's and the model's bytes
+    arrays = [a for a in _cached_arrays(caches) if not any(np.shares_memory(a, b) for b in held)]
+    image = activation // 8  # one image's block activation
+    large = [a for a in arrays if a.nbytes >= image]
+    # the rest are per-channel vectors, at most one per image (the pooled rows)
+    assert all(a.shape[-1] == cfg.embed_dim and a.size <= 32 * cfg.embed_dim for a in arrays if a.nbytes < image)
+    for j, a in enumerate(large):
+        assert not any(np.shares_memory(a, b) for b in large[j + 1:]), a.shape
+    for chunk in caches.chunks:
+        for block in chunk.blocks:
+            assert all(a.nbytes < image for a in _cached_arrays(block.dw)), "a depthwise cache holds an activation"
+    held_bytes = sum(a.nbytes for a in large)
+    assert held_bytes <= 13 * activation * len(caches.chunks), held_bytes / activation
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_train_backward_rebuilds_each_block_input_byte_for_byte(rng, monkeypatch, dtype, threads):
+    """The backward hands each depthwise backward the bytes its forward was
+    given: block 0's kept input, and later blocks' rebuilt from batch norm."""
+    cfg = sm.ModelConfig(input_h=8, input_w=8, input_c=3, patch=2, embed_dim=4, depth=3, num_classes=3)
+    monkeypatch.setattr(sm, "_CHUNK_BYTES", 2 * cfg.tokens * cfg.embed_dim * np.dtype(dtype).itemsize)
+    net = sm.build(cfg, seed=1, dtype=dtype)
+    for s in net.bn_states:
+        s.gamma[:] = rng.standard_normal(s.gamma.shape)
+        s.beta[:] = rng.standard_normal(s.beta.shape)
+    seen = {"forward": [], "backward": []}
+    forward, backward = layers.depthwise_conv_forward, layers.depthwise_conv_backward
+
+    def recording_forward(x, p):
+        seen["forward"].append(x.tobytes())
+        return forward(x, p)
+
+    def recording_backward(cache, upstream, x):
+        seen["backward"].append(x.tobytes())
+        return backward(cache, upstream, x)
+
+    monkeypatch.setattr(layers, "depthwise_conv_forward", recording_forward)
+    monkeypatch.setattr(layers, "depthwise_conv_backward", recording_backward)
+    x = rng.random((5, 8, 8, 3)).astype(dtype)
+    with sm.use_threads(threads):
+        _train_step(net, x, rng.integers(0, 3, 5))
+    # 3 chunks x 3 blocks x 2 branches; pool threads finish in any order
+    assert len(seen["forward"]) == 3 * 3 * 2
+    assert sorted(seen["backward"]) == sorted(seen["forward"])
 
 
 def test_full_model_gradient_check():

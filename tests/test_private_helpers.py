@@ -1,5 +1,6 @@
 """Every private module-level function or class of the library has a library
-caller, and every module uses each name it imports."""
+caller, every module uses each name it imports, and only `layers` opens a
+`LayerCache`'s saved dict."""
 
 import ast
 import pathlib
@@ -81,3 +82,16 @@ def test_every_imported_name_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{module}:{line} {name}" for name, line in _imported_names(tree) if name not in used]
     assert unused == [], f"imported names that no code of their module uses: {unused}"
+
+
+def test_only_layers_reads_or_writes_a_layer_caches_saved_dict():
+    # other modules ask layers for what a cache holds, as model's backward asks
+    # `layers.batch_norm_output` for a block input, instead of editing cache dicts
+    users = [
+        f"{module}:{node.lineno}"
+        for module, tree in _trees().items()
+        if module != "layers"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "saved"
+    ]
+    assert users == [], f"library code outside layers.py that touches LayerCache.saved: {users}"
