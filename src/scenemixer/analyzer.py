@@ -69,11 +69,6 @@ def cost_report(config: ModelConfig, trainable_only: bool = False) -> CostReport
     )
 
 
-def count_params(config: ModelConfig) -> int:
-    """Stored scalars (parameters plus BN running statistics); `model.load` checks against it."""
-    return cost_report(config).total_params
-
-
 def format_report(report: CostReport, config: ModelConfig | None = None) -> str:
     name_w = max(len(e.name) for e in report.entries + [LayerCost("total", 0, 0, 0)])
     lines = [f"{'layer':<{name_w}}  {'params':>12}  {'macs':>14}  {'flops':>14}"]

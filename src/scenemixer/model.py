@@ -19,9 +19,10 @@ block's input from the `xhat` of the batch norm before it, with
 Checkpoints use a small binary container (magic "SMXC"): little-endian
 u32 version, u32-length-prefixed UTF-8 config block of key=value lines,
 u32 tensor count, then per tensor a u32-length-prefixed UTF-8 name, u32
-rank, u64 extents and raw float32 data. `load` raises `CheckpointError`
-for any file that is not such a container for the config it embeds, or
-whose tensors hold a non-finite value or a negative running variance.
+rank, u64 extents and raw float32 data, in the order of `tensor_shapes`,
+the one table of a config's tensors. `load` raises `CheckpointError` for
+any file that is not such a container for the config it embeds, or whose
+tensors hold a non-finite value or a negative running variance.
 `save` writes a temp file beside the target and renames it over the
 target, so a failed save leaves the earlier file intact.
 """
@@ -226,30 +227,60 @@ def parse_config_text(text: str):
     return config, class_names
 
 
+def tensor_shapes(config: ModelConfig) -> dict:
+    """Name -> shape of each tensor a model of config stores, in `.smxc` save
+    order: the parameters, then every block's batch-norm running statistics.
+    Raises ValueError on an invalid config."""
+    config.validate()
+    p, d = config.patch, config.embed_dim
+    shapes = {}
+
+    def conv(name, kernel):  # a layer's weights, and a bias per output channel
+        shapes[f"{name}.weights"], shapes[f"{name}.bias"] = kernel, kernel[-1:]
+
+    conv("embed", (p, p, config.input_c, d))
+    for i in range(config.depth):
+        for k in config.kernels:
+            conv(f"block{i}.dw{k}", (k, k, d))
+        conv(f"block{i}.pw", (d, d))
+        shapes[f"block{i}.bn.gamma"] = shapes[f"block{i}.bn.beta"] = (d,)
+    conv("head", (d, config.num_classes))
+    for i in range(config.depth):
+        shapes[f"block{i}.bn.running_mean"] = shapes[f"block{i}.bn.running_var"] = (d,)
+    return shapes
+
+
 @dataclass
 class SceneMixerModel:
     config: ModelConfig
-    params: dict  # ordered name -> array; BN gamma/beta alias bn_states
-    bn_states: list
+    tensors: dict  # name -> array, keyed and ordered as `tensor_shapes(config)`
     class_names: list | None = None
+    # views of tensors: the trainable ones, which Adam updates, and per block a batch-norm state
+    params: dict = field(init=False, repr=False)
+    bn_states: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        t, cfg = self.tensors, self.config
+        self.params = {name: a for name, a in t.items() if ".running_" not in name}
+        self.bn_states = [
+            BatchNormState(*(t[f"block{i}.bn.{s}"] for s in ("gamma", "beta", "running_mean", "running_var")),
+                           momentum=cfg.bn_momentum, epsilon=cfg.bn_eps)
+            for i in range(cfg.depth)
+        ]
 
     @property
     def dtype(self):
         return self.params["embed.weights"].dtype
 
     def all_tensors(self) -> dict:
-        """Trainable parameters plus BN running statistics, in save order."""
-        out = dict(self.params)
-        for i, s in enumerate(self.bn_states):
-            out[f"block{i}.bn.running_mean"] = s.running_mean
-            out[f"block{i}.bn.running_var"] = s.running_var
-        return out
+        """Every stored tensor, in save order: the model's own dict, not a copy."""
+        return self.tensors
 
     def snapshot(self) -> dict:
         return {name: t.copy() for name, t in self.all_tensors().items()}
 
     def restore(self, snap: dict):
-        # in-place so BN gamma/beta aliasing with params is preserved
+        # in-place, so params and bn_states keep aliasing the tensors
         for name, t in self.all_tensors().items():
             t[:] = snap[name]
 
@@ -258,39 +289,20 @@ class SceneMixerModel:
         return ConvParams(self.params[f"{name}.weights"], self.params[f"{name}.bias"])
 
 
-def _glorot(rng, shape, fan_in, fan_out, dtype):
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
-
-
 def build(config: ModelConfig, seed: int, dtype=np.float32) -> SceneMixerModel:
-    """Deterministically initialized model: Glorot-uniform weights, zero
-    biases, unit-variance BN state. Same seed, same bits."""
-    config.validate()
+    """Deterministically initialized model: Glorot-uniform weights, drawn in
+    save order, zero biases, unit-variance BN state. Same seed, same bits."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    p, d, c_in = config.patch, config.embed_dim, config.input_c
-    params = {}
-    params["embed.weights"] = _glorot(rng, (p, p, c_in, d), p * p * c_in, p * p * d, dtype)
-    params["embed.bias"] = np.zeros(d, dtype)
-    bn_states = []
-    for i in range(config.depth):
-        for k in config.kernels:
-            # depthwise fans are per channel: k*k in, k*k out
-            params[f"block{i}.dw{k}.weights"] = _glorot(rng, (k, k, d), k * k, k * k, dtype)
-            params[f"block{i}.dw{k}.bias"] = np.zeros(d, dtype)
-        params[f"block{i}.pw.weights"] = _glorot(rng, (d, d), d, d, dtype)
-        params[f"block{i}.pw.bias"] = np.zeros(d, dtype)
-        gamma = np.ones(d, dtype)
-        beta = np.zeros(d, dtype)
-        params[f"block{i}.bn.gamma"] = gamma
-        params[f"block{i}.bn.beta"] = beta
-        bn_states.append(
-            BatchNormState(gamma, beta, np.zeros(d, dtype), np.ones(d, dtype),
-                           momentum=config.bn_momentum, epsilon=config.bn_eps)
-        )
-    params["head.weights"] = _glorot(rng, (d, config.num_classes), d, config.num_classes, dtype)
-    params["head.bias"] = np.zeros(config.num_classes, dtype)
-    return SceneMixerModel(config, params, bn_states)
+    tensors = {}
+    for name, shape in tensor_shapes(config).items():
+        if name.endswith(".weights"):
+            # fan in plus fan out; a depthwise (k, k, d) kernel maps each channel alone, k*k to k*k
+            fans = 2 * shape[0] * shape[1] if len(shape) == 3 else math.prod(shape[:-2]) * sum(shape[-2:])
+            limit = np.sqrt(6.0 / fans)
+            tensors[name] = rng.uniform(-limit, limit, size=shape).astype(dtype)
+        else:
+            tensors[name] = (np.ones if name.endswith((".gamma", ".running_var")) else np.zeros)(shape, dtype)
+    return SceneMixerModel(config, tensors)
 
 
 _POOL = None  # the executor of the innermost `use_threads(n > 1)`
@@ -613,8 +625,6 @@ class _Reader:
 
 
 def load(path) -> SceneMixerModel:
-    from .analyzer import count_params  # analyzer imports this module
-
     with open(path, "rb") as fh:
         blob = fh.read()
     r = _Reader(blob)
@@ -642,25 +652,19 @@ def load(path) -> SceneMixerModel:
         tensors[name] = np.frombuffer(r.take(4 * size), dtype="<f4").reshape(shape)
     if r.pos != len(blob):
         raise CheckpointError(f"trailing bytes in checkpoint: {len(blob) - r.pos}")
-    # count_params walks the blocks, and every block stores tensors: a forged
+    # tensor_shapes walks the blocks, and every block stores tensors: a forged
     # depth must not cost more than the file's size
     if config.depth > len(tensors):
         raise CheckpointError(f"config has depth {config.depth:,}, but the checkpoint stores only {len(tensors)} tensors")
-    # before build: a forged embed_dim must not allocate its embed_dim**2 weights
-    stored, needed = sum(t.size for t in tensors.values()), count_params(config)
-    if stored != needed:
-        raise CheckpointError(f"stored tensor shapes hold {stored:,} values, the embedded config needs {needed:,}")
-
-    model = build(config, seed=0)
-    expected = model.all_tensors()
+    expected = tensor_shapes(config)
     if set(tensors) != set(expected):
         missing = excerpt_list(sorted(set(expected) - set(tensors)))
         extra = excerpt_list(sorted(set(tensors) - set(expected)))
         raise CheckpointError(f"tensor set disagrees with embedded config: missing {missing}, unexpected {extra}")
-    for name, t in expected.items():
-        if tensors[name].shape != t.shape:
-            raise CheckpointError(f"tensor {name}: shape {tensors[name].shape} != {t.shape} expected from config")
-        t[:] = tensors[name]
+    for name, shape in expected.items():
+        if tensors[name].shape != shape:
+            raise CheckpointError(f"tensor {name}: shape {tensors[name].shape} != {shape} expected from config")
+    # the shapes match, so no copy is sized by a forged config
+    model = SceneMixerModel(config, {name: tensors[name].astype(np.float32) for name in expected}, class_names)
     _check_tensor_values(model)
-    model.class_names = class_names
     return model

@@ -70,12 +70,12 @@ def test_criterion_03_parameter_accounting(rng):
         )
         cfg.input_w = cfg.input_h  # keep a square grid
         stored = sum(t.size for t in sm.build(cfg, seed=trial).all_tensors().values())
-        exact &= analyzer.count_params(cfg) == stored
-    default_count = analyzer.count_params(EUROSAT)
+        exact &= analyzer.cost_report(cfg).total_params == stored
+    default_count = analyzer.cost_report(EUROSAT).total_params
     text = analyzer.format_report(analyzer.cost_report(EUROSAT), EUROSAT)
     discrepancy_noted = "94,090" in text and "100,117" in text and "differs" in text
     ok = exact and default_count == 94_090 and discrepancy_noted
-    _report(3, "count_params matches built models; 94,090 reported beside 100,117", ok,
+    _report(3, "analyzer parameter total matches built models; 94,090 reported beside 100,117", ok,
             f"default={default_count}")
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,9 @@ TINY = sm.ModelConfig(input_h=4, input_w=4, input_c=1, patch=2, embed_dim=2,
 
 
 def test_param_goldens():
-    assert analyzer.count_params(EUROSAT) == 94_090
-    assert analyzer.count_params(TINY) == 102
-    assert analyzer.count_params(AID) == 96_670
+    assert analyzer.cost_report(EUROSAT).total_params == 94_090
+    assert analyzer.cost_report(TINY).total_params == 102
+    assert analyzer.cost_report(AID).total_params == 96_670
 
 
 def test_param_breakdown_default():
@@ -26,7 +28,7 @@ def test_param_breakdown_default():
 
 
 def test_trainable_only_subtracts_running_stats():
-    full = analyzer.count_params(EUROSAT)
+    full = analyzer.cost_report(EUROSAT).total_params
     trainable = analyzer.cost_report(EUROSAT, trainable_only=True).total_params
     assert full - trainable == 2 * 128 * 4  # two running vectors per block
 
@@ -112,14 +114,22 @@ def test_backward_records_no_multiplies(rng):
     assert both.total == forward_only.total == 5 * analyzer.cost_report(cfg).total_macs
 
 
-def test_count_params_matches_built_models(rng):
-    for trial in range(6):
-        cfg = _random_small_config(rng)
-        net = sm.build(cfg, seed=trial)
+def test_param_total_matches_built_models(rng, tmp_path):
+    # the analyzer's closed-form counts are an oracle independent of `model.tensor_shapes`
+    unordered = sm.ModelConfig(input_h=8, input_w=8, input_c=2, patch=2, embed_dim=3, depth=2,
+                               kernels=(5, 1, 3), num_classes=4)
+    cases = [(_random_small_config(rng), np.float32) for _ in range(6)] + [(unordered, np.float64)]
+    for trial, (cfg, dtype) in enumerate(cases):
+        net = sm.build(cfg, seed=trial, dtype=dtype)
         stored = sum(t.size for t in net.all_tensors().values())
-        assert analyzer.count_params(cfg) == stored, f"trial {trial}: {cfg}"
+        assert analyzer.cost_report(cfg).total_params == stored, f"trial {trial}: {cfg}"
         trainable = sum(t.size for t in net.params.values())
         assert analyzer.cost_report(cfg, trainable_only=True).total_params == trainable
+        table = sm.tensor_shapes(cfg)
+        assert list(table.items()) == [(name, t.shape) for name, t in net.all_tensors().items()]
+        assert sum(math.prod(shape) for shape in table.values()) == analyzer.cost_report(cfg).total_params
+        sm.save(net, tmp_path / "m.smxc")
+        assert list(sm.load(tmp_path / "m.smxc").all_tensors()) == list(table)
 
 
 def test_counts_linear_in_depth():

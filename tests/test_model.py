@@ -912,18 +912,32 @@ def test_checkpoint_element_count_checked_before_build(tmp_path, monkeypatch):
         raise AssertionError("build ran for a checkpoint whose tensors cannot fit its config")
 
     monkeypatch.setattr(sm, "build", no_build)
-    with pytest.raises(sm.CheckpointError, match="hold 102 values, the embedded config needs 16,973,826"):
+    with pytest.raises(sm.CheckpointError, match=re.escape("tensor embed.weights: shape (2, 2, 1, 2) != (2, 2, 1, 4096)")):
         sm.load(path)
+
+
+def test_load_draws_no_weights(tmp_path, monkeypatch):
+    path, _ = _saved_blob(tmp_path)
+    saved = sm.build(TINY, seed=4)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("load built a model only to overwrite its weights")
+
+    monkeypatch.setattr(sm, "build", no_build)
+    loaded = sm.load(path)
+    assert [(name, t.dtype, t.tobytes()) for name, t in loaded.all_tensors().items()] == [
+        (name, t.dtype, t.tobytes()) for name, t in saved.all_tensors().items()
+    ]
 
 
 def test_checkpoint_depth_checked_before_counting(tmp_path, monkeypatch):
     path, blob = _saved_blob(tmp_path)
     path.write_bytes(_replace_config(blob, b"depth=1", b"depth=100000000"))
 
-    def no_count(*args, **kwargs):
-        raise AssertionError("count_params ran for a depth the checkpoint's tensors cannot hold")
+    def no_table(*args, **kwargs):
+        raise AssertionError("tensor_shapes ran for a depth the checkpoint's tensors cannot hold")
 
-    monkeypatch.setattr(analyzer, "count_params", no_count)
+    monkeypatch.setattr(sm, "tensor_shapes", no_table)
     with pytest.raises(sm.CheckpointError, match="depth 100,000,000, but the checkpoint stores only 14 tensors"):
         sm.load(path)
 

@@ -1,6 +1,6 @@
 """Every private module-level function or class of the library has a library
-caller, every module uses each name it imports, and only `layers` opens a
-`LayerCache`'s saved dict."""
+caller, every module imports at module level and uses each name it imports,
+and only `layers` opens a `LayerCache`'s saved dict."""
 
 import ast
 import pathlib
@@ -82,6 +82,25 @@ def test_every_imported_name_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{module}:{line} {name}" for name, line in _imported_names(tree) if name not in used]
     assert unused == [], f"imported names that no code of their module uses: {unused}"
+
+
+# functions allowed to import inside their body, each with its reason
+LOCAL_IMPORTS = {
+    ("__init__", "__getattr__"): "loads a submodule on first access, so that importing the package "
+                                 "does not import numpy before `cli` pins the BLAS threads",
+}
+
+
+def test_every_import_is_at_module_level():
+    # an import inside a function hides a module's dependencies, or dodges an import cycle
+    local = {
+        (module, node.name)
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and any(isinstance(inner, (ast.Import, ast.ImportFrom)) for inner in ast.walk(node))
+    }
+    assert local == LOCAL_IMPORTS.keys(), f"functions that import inside their body: {sorted(local)}"
 
 
 def test_only_layers_reads_or_writes_a_layer_caches_saved_dict():
