@@ -370,14 +370,17 @@ def apply_split_csv(manifest: DatasetManifest, text: str):
             raise ValueError(f"split manifest line {lineno}: duplicate path {excerpt(key)}")
         if split not in ("train", "val", "test", "unassigned"):
             raise ValueError(f"split manifest line {lineno}: unknown split {excerpt(split)}")
-        assignments[key] = (cls, split)
+        assignments[key] = (cls, split, lineno)
     for s in manifest.samples:
         if s.key not in assignments:
             raise ValueError(f"split manifest missing sample {excerpt(s.key)}")
-        cls, split = assignments[s.key]
+        cls, split, _ = assignments.pop(s.key)
         if cls != manifest.class_names[s.class_index]:
             raise ValueError(f"split manifest class mismatch for {excerpt(s.key)}: {excerpt(cls)}")
         s.split = split
+    if assignments:  # rows that no tree sample claimed, in manifest order
+        key, (_, _, lineno) = next(iter(assignments.items()))
+        raise ValueError(f"split manifest line {lineno}: path {excerpt(key)} is not in the dataset tree")
     return manifest
 
 

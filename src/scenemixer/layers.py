@@ -23,9 +23,10 @@ GELU uses the exact normal CDF. For float32 inputs it is evaluated with the
 Abramowitz & Stegun 7.1.26 erfc fit (absolute error below 3e-7, 2.62e-7
 measured); float64 inputs, which the gradient checks use, take it from the
 standard library's `math.erfc`, element by element. A train-mode GELU caches
-only its derivative cdf + x pdf; an infer-mode one caches nothing. In infer
-mode batch norm is one scale and shift per channel, x (gamma inv) +
-(beta - mean gamma inv). A train-mode batch norm also takes a batch in chunks,
+only its derivative cdf + x pdf. In infer mode batch norm is one scale and
+shift per channel, x (gamma inv) + (beta - mean gamma inv). An infer-mode
+forward of either keeps nothing, and every reader of a cache refuses such an
+empty cache. A train-mode batch norm also takes a batch in chunks,
 with statistics merged from the chunks' moments (see its section). GELU and
 batch norm build their outputs with in-place ufuncs, so each call allocates
 only the arrays it returns or caches, and a train-mode moment pass one more.
@@ -81,6 +82,8 @@ def _check_cache(cache: LayerCache, layer: str, upstream) -> dict:
         raise ValueError(f"a {cache.layer!r} cache passed where a {layer!r} cache is needed")
     if cache.consumed:
         raise RuntimeError(f"{layer} cache already consumed by a previous backward call")
+    if not cache.saved:  # every train-mode cache keeps something
+        raise ValueError(f"{layer} needs a train-mode cache; an infer-mode forward keeps nothing")
     if upstream is not None and tuple(upstream.shape) != cache.out_shape:
         raise ShapeError(
             f"{layer}_backward: upstream shape {tuple(upstream.shape)} != forward output shape {cache.out_shape}"
@@ -358,9 +361,7 @@ def gelu_forward(x: Tensor, mode: str):
 
 
 def gelu_backward(cache: LayerCache, upstream: Tensor) -> Tensor:
-    d = _consume(cache, "gelu", upstream).pop("d", None)
-    if d is None:
-        raise ValueError("gelu_backward needs a train-mode cache; an infer-mode forward keeps no derivative")
+    d = _consume(cache, "gelu", upstream).pop("d")
     # d is single-use, so it takes the product
     return np.multiply(upstream, d, out=d)
 
@@ -438,17 +439,15 @@ def batch_norm_forward(x: Tensor, s: BatchNormState, mode: str, stats=None):
         xhat = flat - mean
         xhat *= inv
         saved = {"xhat": xhat.reshape(x.shape), "inv": inv, "gamma": s.gamma, "beta": s.beta, "count": count,
-                 "mode": mode, "dtype": x.dtype}
+                 "dtype": x.dtype}
         return _bn_affine(saved), LayerCache("batch_norm", x.shape, saved)
     # one scale and one shift per channel: x (gamma inv) + (beta - mean gamma inv)
     inv = 1.0 / np.sqrt(s.running_var + s.epsilon)
     scale = s.gamma * inv
     out = np.multiply(flat, scale)
     out += s.beta - s.running_mean * scale
-    # train-mode calls update running_mean in place, so the cache keeps a copy
-    saved = {"x": x, "mean": s.running_mean.copy(), "inv": inv, "gamma": s.gamma, "mode": mode}
     out = out.reshape(x.shape).astype(x.dtype, copy=False)
-    return out, LayerCache("batch_norm", out.shape, saved)
+    return out, LayerCache("batch_norm", out.shape)
 
 
 def _bn_affine(saved: dict) -> Tensor:
@@ -458,18 +457,10 @@ def _bn_affine(saved: dict) -> Tensor:
     return out.astype(saved["dtype"], copy=False)
 
 
-def _train_saved(cache: LayerCache, upstream, caller: str) -> dict:
-    """`_check_cache` of an unconsumed batch-norm cache, which must be train-mode."""
-    saved = _check_cache(cache, "batch_norm", upstream)
-    if saved["mode"] != "train":
-        raise ValueError(f"{caller} needs a train-mode cache")
-    return saved
-
-
 def batch_norm_output(cache: LayerCache) -> Tensor:
     """The output of the train-mode forward that made cache, rebuilt byte for
     byte from its xhat; reads the cache without consuming it."""
-    return _bn_affine(_train_saved(cache, None, "batch_norm_output"))
+    return _bn_affine(_check_cache(cache, "batch_norm", None))
 
 
 def _bn_sums(u: Tensor, xh: Tensor):
@@ -479,35 +470,27 @@ def _bn_sums(u: Tensor, xh: Tensor):
 
 def batch_norm_partials(cache: LayerCache, upstream: Tensor):
     """A train-mode chunk's share of (dgamma, dbeta); reads the cache without consuming it."""
-    saved = _train_saved(cache, upstream, "batch_norm_partials")
+    saved = _check_cache(cache, "batch_norm", upstream)
     c = saved["gamma"].shape[0]
     return _bn_sums(upstream.reshape(-1, c), saved["xhat"].reshape(-1, c))
 
 
 def batch_norm_backward(cache: LayerCache, upstream: Tensor, sums=None):
-    """(dx, dgamma, dbeta). In train mode, sums are the (dgamma, dbeta) of the
-    whole batch, summed from `batch_norm_partials`; without them the cache's
-    chunk is the whole batch."""
+    """(dx, dgamma, dbeta) of a train-mode cache. sums are the (dgamma, dbeta)
+    of the whole batch, summed from `batch_norm_partials`; without them the
+    cache's chunk is the whole batch."""
     saved = _consume(cache, "batch_norm", upstream)
-    inv, gamma = saved["inv"], saved["gamma"]
+    inv, gamma, m = saved["inv"], saved["gamma"], saved["count"]
     c = gamma.shape[0]
     u = upstream.reshape(-1, c)
-    if saved["mode"] == "train":
-        xh = saved["xhat"].reshape(-1, c)
-    else:  # the infer forward never forms xhat
-        xh = saved["x"].reshape(-1, c) - saved["mean"]
-        xh *= inv
+    xh = saved["xhat"].reshape(-1, c)
     dgamma, dbeta = sums if sums is not None else _bn_sums(u, xh)
-    if saved["mode"] == "train":
-        m = saved["count"]
-        # full backward through the batch statistics:
-        # dx = gamma * inv * (upstream - (dbeta + xhat * dgamma) / m)
-        dx = np.multiply(xh, dgamma / m)
-        dx += dbeta / m
-        np.subtract(u, dx, out=dx)
-        dx *= gamma * inv
-    else:
-        dx = u * (gamma * inv)
+    # full backward through the batch statistics:
+    # dx = gamma * inv * (upstream - (dbeta + xhat * dgamma) / m)
+    dx = np.multiply(xh, dgamma / m)
+    dx += dbeta / m
+    np.subtract(u, dx, out=dx)
+    dx *= gamma * inv
     return dx.reshape(upstream.shape).astype(upstream.dtype, copy=False), dgamma, dbeta
 
 

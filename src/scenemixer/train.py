@@ -193,6 +193,12 @@ def fit(model, train_set, val_set, cfg: TrainConfig, log=None):
     x_val, y_val = val_set
     if len(x_train) == 0 or len(x_val) == 0:
         raise ValueError("fit: empty train or validation split")
+    n, tokens = len(x_train), model.config.tokens
+    smallest = n % cfg.batch_size or cfg.batch_size  # the smallest batch `train_epoch` forms
+    if tokens * smallest < 2:  # batch norm's train-mode variance needs two elements per channel
+        raise ValueError(f"fit: batch size {cfg.batch_size} on a train split of {n} forms a batch of {smallest} "
+                         f"image(s) x {tokens} token(s) per image, fewer than the 2 elements per channel "
+                         "that batch norm needs")
     adam = AdamState(model.params)
     sched = PlateauScheduler(cfg.lr_init)
     history = TrainHistory()

@@ -125,22 +125,33 @@ def test_criterion_04_gradient_suite():
         r = rng.standard_normal(out.shape)
         track(layers.gelu_backward(cache, r),
               finite_diff_grad(lambda t: float(np.sum(layers.gelu_forward(t, "infer")[0] * r)), x))
-        # batch norm, both modes
-        for mode in ("train", "infer"):
+        # batch norm in train mode: the whole batch, then the same batch in two
+        # one-image chunks, the path `model` runs; both against the whole-batch forward
+        for chunked in (False, True):
             x = rng.standard_normal((2, 3, 3, 2))
             gamma, beta = rng.standard_normal(2) + 1, rng.standard_normal(2)
 
             def fresh():
                 return BatchNormState(gamma.copy(), beta.copy(), np.zeros(2), np.ones(2), 0.99, 1e-3)
 
-            out, cache = layers.batch_norm_forward(x, fresh(), mode)
-            r = rng.standard_normal(out.shape)
-            dx, dgamma, dbeta = layers.batch_norm_backward(cache, r)
+            if chunked:
+                s = fresh()
+                stats = layers.batch_norm_statistics(s, [layers.batch_norm_moments(x[i:i + 1]) for i in range(2)])
+                caches = [layers.batch_norm_forward(x[i:i + 1], s, "train", stats)[1] for i in range(2)]
+                r = rng.standard_normal(x.shape)
+                sums = tuple(a + b for a, b in zip(*(
+                    layers.batch_norm_partials(caches[i], r[i:i + 1]) for i in range(2))))
+                dx = np.concatenate([layers.batch_norm_backward(caches[i], r[i:i + 1], sums)[0] for i in range(2)])
+                dgamma = sums[0]
+            else:
+                out, cache = layers.batch_norm_forward(x, fresh(), "train")
+                r = rng.standard_normal(out.shape)
+                dx, dgamma, dbeta = layers.batch_norm_backward(cache, r)
             track(dx, finite_diff_grad(
-                lambda t: float(np.sum(layers.batch_norm_forward(t, fresh(), mode)[0] * r)), x))
+                lambda t: float(np.sum(layers.batch_norm_forward(t, fresh(), "train")[0] * r)), x))
             track(dgamma, finite_diff_grad(
                 lambda t: float(np.sum(layers.batch_norm_forward(
-                    x, BatchNormState(t.copy(), beta.copy(), np.zeros(2), np.ones(2), 0.99, 1e-3), mode)[0] * r)),
+                    x, BatchNormState(t.copy(), beta.copy(), np.zeros(2), np.ones(2), 0.99, 1e-3), "train")[0] * r)),
                 gamma))
         # pooling, dense, softmax
         x = rng.standard_normal((2, 3, 3, 2))

@@ -553,6 +553,20 @@ def test_duplicate_manifest_path_is_runtime_error(tmp_path, tiny_dataset, tiny_c
     assert not (tmp_path / "m.smxc").exists()
 
 
+def test_manifest_row_for_a_deleted_image_is_runtime_error(tmp_path, tiny_dataset, tiny_config, capsys):
+    manifest, model = tmp_path / "split.csv", tmp_path / "m.smxc"
+    assert run_inproc(["split", "--data", str(tiny_dataset), "--out", str(manifest)]) == 0
+    assert run_inproc(["train", "--data", str(tiny_dataset), "--config", str(tiny_config), "--epochs", "1",
+                       "--manifest", str(manifest), "--out", str(model), "--quiet"]) == 0
+    lineno, key = next((i, line.split(",")[0]) for i, line in enumerate(manifest.read_text().splitlines(), 1)
+                       if line.endswith(",test"))
+    (tiny_dataset / key).unlink()
+    capsys.readouterr()
+    assert run_inproc(["eval", "--model", str(model), "--data", str(tiny_dataset), "--manifest", str(manifest)]) == 2
+    out = capsys.readouterr()
+    assert f"line {lineno}: path '{key}' is not in the dataset tree" in out.err and "OA:" not in out.out
+
+
 def test_nan_pixel_abort_names_epoch_and_batch(tmp_path, tiny_dataset, tiny_config, monkeypatch, capsys):
     poisoned = []
     real_normalize = dm.normalize

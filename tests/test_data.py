@@ -500,6 +500,8 @@ def test_apply_split_csv_rejects_duplicate_path():
     pytest.param(["{key},a,{long}"], r"^split manifest line 2: unknown split 'x+'", id="split"),
     pytest.param(["{key},{long},train"], r"^split manifest class mismatch for 'a/1+' .*: 'x+'", id="class"),
     pytest.param([], r"^split manifest missing sample 'a/1+'", id="missing"),
+    pytest.param(["{key},a,train", "{long},a,train"], r"^split manifest line 3: path 'x+' .*not in the dataset tree",
+                 id="extra"),
 ])
 def test_apply_split_csv_error_quotes_a_bounded_excerpt(rows, pattern):
     key = "a/" + "1" * (MEGABYTE - 2)

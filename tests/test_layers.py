@@ -472,17 +472,6 @@ def test_batch_norm_infer_matches_normalize_then_affine(rng, dtype, tol):
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
 
-def test_batch_norm_infer_backward_ignores_later_train_calls(rng):
-    x = rng.standard_normal((2, 3, 3, 2))
-    s = _bn_state(2, momentum=0.5)
-    out, cache = layers.batch_norm_forward(x, s, "infer")
-    _, untouched = layers.batch_norm_forward(x, _bn_state(2, momentum=0.5), "infer")
-    layers.batch_norm_forward(x + 3.0, s, "train")  # updates the running statistics in place
-    r = rng.standard_normal(out.shape)
-    for got, want in zip(layers.batch_norm_backward(cache, r), layers.batch_norm_backward(untouched, r)):
-        assert np.array_equal(got, want)
-
-
 def test_batch_norm_rejects_single_element():
     with pytest.raises(ValueError):
         layers.batch_norm_forward(np.zeros((1, 1, 1, 2)), _bn_state(2), "train")[0]
@@ -515,6 +504,20 @@ def test_batch_norm_output_needs_an_unconsumed_train_cache(rng):
     layers.batch_norm_backward(cache, out)
     with pytest.raises(RuntimeError, match="consumed"):
         layers.batch_norm_output(cache)
+
+
+@pytest.mark.parametrize("reader", ["gelu_backward", "batch_norm_backward", "batch_norm_partials", "batch_norm_output"])
+def test_every_cache_reader_refuses_an_infer_mode_cache_and_leaves_it_unconsumed(rng, reader):
+    x = rng.standard_normal((2, 3, 3, 2))
+    if reader.startswith("gelu"):
+        out, cache = layers.gelu_forward(x, "infer")
+    else:
+        out, cache = layers.batch_norm_forward(x, _bn_state(2), "infer")
+    assert cache.saved == {}
+    args = (cache,) if reader == "batch_norm_output" else (cache, np.ones_like(out))
+    with pytest.raises(ValueError, match="train-mode cache"):
+        getattr(layers, reader)(*args)
+    assert not cache.consumed
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Every private module-level function or class of the library has a library
 caller, every module imports at module level and uses each name it imports,
-and only `layers` opens a `LayerCache`'s saved dict."""
+and only `layers` opens a `LayerCache`'s saved dict, each reader through one check."""
 
 import ast
 import pathlib
@@ -114,3 +114,19 @@ def test_only_layers_reads_or_writes_a_layer_caches_saved_dict():
         if isinstance(node, ast.Attribute) and node.attr == "saved"
     ]
     assert users == [], f"library code outside layers.py that touches LayerCache.saved: {users}"
+
+
+def test_every_cache_reader_checks_the_cache_itself():
+    # `_check_cache` is the one place that refuses a wrong, consumed or
+    # infer-mode cache, so each reader calls it, or `_consume`, by name
+    tree = _trees()["layers"]
+    readers = {
+        node.name: {inner.func.id for inner in ast.walk(node)
+                    if isinstance(inner, ast.Call) and isinstance(inner.func, ast.Name)}
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and (node.name.endswith("_backward") or node.name in ("batch_norm_partials", "batch_norm_output"))
+    }
+    assert len(readers) == 10, sorted(readers)  # 8 backwards, the partials and the output
+    unchecked = sorted(name for name, calls in readers.items() if not calls & {"_consume", "_check_cache"})
+    assert unchecked == [], f"cache readers in layers.py that call neither _consume nor _check_cache: {unchecked}"

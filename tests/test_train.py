@@ -257,6 +257,22 @@ def test_fit_full_determinism(rng):
     assert csvs[0] == csvs[1]
 
 
+@pytest.mark.parametrize("batch_size", [1, 15])
+def test_fit_refuses_a_batch_too_small_for_batch_norm_before_any_step(rng, monkeypatch, batch_size):
+    one_token = sm.ModelConfig(input_h=4, input_w=4, input_c=3, patch=4, embed_dim=2,
+                               depth=1, kernels=(3, 5), num_classes=2)
+    x = rng.standard_normal((16, 4, 4, 3)).astype(np.float32)
+    y = np.arange(16) % 2
+
+    def no_step(*args):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(sm, "forward", no_step)
+    with pytest.raises(ValueError, match=f"^fit: batch size {batch_size} on a train split of 16 forms a batch of 1 "
+                                         r"image\(s\) x 1 token\(s\) per image"):
+        tr.fit(sm.build(one_token, seed=0), (x, y), (x, y), tr.TrainConfig(epochs=1, batch_size=batch_size))
+
+
 def test_fit_lr_column_obeys_bounds(rng):
     x, y = _toy_dataset(rng, 6)
     net = sm.build(TINY, seed=0)
