@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 usage error, 2 runtime error. Every run echoes
 its resolved settings to stderr before acting; primary results go to
 stdout. `--threads` sets the size of the thread pool that `train`, `eval`
 and `predict` run their chunks of images on (default and upper bound: the
-usable cores); results do not depend on it.
+usable cores); results do not depend on it. `train`, `eval`, `analyze`
+and `split` check their outputs before they read any input.
 
 Importing this module pins BLAS to one thread, so that pool threads do not
 oversubscribe the cores: it sets `OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS`
@@ -50,7 +51,12 @@ _keep_freed_memory()
 # handlers call through these module objects, so that a tracer or probe that
 # replaces a module attribute sees every call
 from . import analyzer, data as data_mod, metrics as metrics_mod, model as model_mod, train as train_mod  # noqa: E402
-from .fileio import write_atomic  # noqa: E402
+from .fileio import check_writable, replaced_file, write_atomic  # noqa: E402
+
+_BUILTIN_CONFIGS = {
+    "eurosat-default": model_mod.ModelConfig.eurosat_default,
+    "aid-default": model_mod.ModelConfig.aid_default,
+}
 
 
 class _UsageError(Exception):
@@ -79,16 +85,36 @@ def _resolve_threads(threads):
 
 def _resolve_model_config(spec: str):
     """(ModelConfig, class names or None) of a builtin config name or a config file."""
-    builtin = {
-        "eurosat-default": model_mod.ModelConfig.eurosat_default,
-        "aid-default": model_mod.ModelConfig.aid_default,
-    }
-    if spec in builtin:
-        return builtin[spec](), None
+    if spec in _BUILTIN_CONFIGS:
+        return _BUILTIN_CONFIGS[spec](), None
     if not os.path.isfile(spec):
-        raise FileNotFoundError(f"config {spec!r} is neither a file nor one of {sorted(builtin)}")
+        raise FileNotFoundError(f"config {spec!r} is neither a file nor one of {sorted(_BUILTIN_CONFIGS)}")
     with open(spec, "r", encoding="utf-8") as fh:
         return model_mod.parse_config_text(fh.read())
+
+
+def _check_outputs(args, outputs, inputs=()):
+    """Refuse, before any input is read, an output that `write_atomic` could not write,
+    or that is the same file as another output or as an input the command reads.
+
+    `outputs` and `inputs` name options of `args`; an unset one is skipped, and
+    so is a builtin config name. Outputs written in place, such as `/dev/stdout`,
+    may repeat: only a file that `write_atomic` replaces can be lost.
+    """
+    seen = {}
+    for opt in (*inputs, *outputs):
+        path = getattr(args, opt)
+        if path is None or (opt == "config" and path in _BUILTIN_CONFIGS):
+            continue
+        if opt in outputs:
+            check_writable(path)
+        target = replaced_file(path)
+        if target is None:
+            continue
+        key = (target[1].st_dev, target[1].st_ino) if target[1] else os.path.realpath(path)
+        if key in seen:
+            raise ValueError("--{} {!r} is the same file as --{} {!r}".format(opt, path, *seen[key]))
+        seen[key] = opt, path
 
 
 def _load_split_dataset(data_root, manifest_path, seed, num_classes, class_names=None):
@@ -114,6 +140,7 @@ def _load_split_dataset(data_root, manifest_path, seed, num_classes, class_names
 
 
 def _cmd_analyze(args):
+    _check_outputs(args, ("csv",), inputs=("config",))
     config, _ = _resolve_model_config(args.config)
     report = analyzer.cost_report(config, trainable_only=args.trainable_only)
     sys.stdout.write(analyzer.format_report(report, config))
@@ -130,6 +157,7 @@ def _cmd_synth(args):
 
 
 def _cmd_split(args):
+    _check_outputs(args, ("out",))
     manifest = data_mod.load_dataset(args.data)
     data_mod.stratified_split(manifest, data_mod.SplitSpec(seed=args.seed))
     write_atomic(args.out, [data_mod.manifest_to_csv(manifest).encode("utf-8")])
@@ -150,6 +178,7 @@ def _cmd_train(args):
         epochs=args.epochs, batch_size=args.batch, seed=args.seed, lr_init=args.lr
     )
     cfg.validate()  # before the dataset is read
+    _check_outputs(args, ("out", "history"), inputs=("config", "manifest"))
     config, class_names = _resolve_model_config(args.config)
     _check_rgb_input(config)
     manifest = _load_split_dataset(args.data, args.manifest, args.seed, config.num_classes, class_names)
@@ -161,13 +190,14 @@ def _cmd_train(args):
     net, history = train_mod.fit(net, train_xy, val_xy, cfg, log=log)
     model_mod.save(net, args.out)
     if args.history:
-        history.save_csv(args.history)
+        write_atomic(args.history, [history.to_csv().encode("utf-8")])
     best = history.records[history.best_epoch - 1]
     print(f"best epoch {history.best_epoch}: val oa {best.val_oa:.4f}; saved {args.out}")
     return 0
 
 
 def _cmd_eval(args):
+    _check_outputs(args, ("confusion", "metrics"), inputs=("model", "manifest"))
     net = model_mod.load(args.model)
     _check_rgb_input(net.config)
     manifest = _load_split_dataset(args.data, args.manifest, args.seed, net.config.num_classes, net.class_names)

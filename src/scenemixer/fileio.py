@@ -11,12 +11,57 @@ refers to, such as `/dev/stdout`, is written through descriptor 1 after
 `sys.stdout` is flushed, so the artifact follows what the command printed
 instead of replacing or overwriting it. Any other target that cannot be
 replaced (a FIFO, a terminal or a directory) is opened and written
-directly, as `open(path, "wb")` would.
+directly, as `open(path, "wb")` would. `replaced_file` holds the rule of
+which targets are replaced, and `check_writable` uses it to refuse, before
+any work, a target that `write_atomic` would have no place to write.
 """
 
+import errno
 import os
 import stat
 import sys
+
+
+def replaced_file(path):
+    """(the file, its stat or None) that `write_atomic(path, ...)` replaces, or None if it writes `path` in place.
+
+    It replaces a regular file, or a path that does not exist yet, unless
+    descriptor 1 refers to it. A symlink is followed: the file it names is
+    replaced and the link stays.
+    """
+    path = os.fspath(path)
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and (not stat.S_ISREG(st.st_mode) or _is_stdout(st)):
+        return None
+    return (os.path.realpath(path) if os.path.islink(path) else path), st
+
+
+def _is_stdout(st):
+    try:
+        return os.path.samestat(st, os.fstat(1))
+    except OSError:  # descriptor 1 is closed
+        return False
+
+
+def check_writable(path):
+    """Raise the OSError that `write_atomic(path, ...)` would meet for want of a place to write.
+
+    That is: `path` is a directory, or the directory of the file it would
+    replace is missing or not writable. A target written in place, such as
+    a FIFO or `/dev/stdout`, is not checked.
+    """
+    target = replaced_file(path)
+    if target is None:
+        if os.path.isdir(path):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+        return
+    directory = os.path.dirname(target[0]) or os.curdir
+    if not os.access(directory, os.W_OK | os.X_OK):
+        code = errno.EACCES if os.path.isdir(directory) else errno.ENOENT
+        raise OSError(code, os.strerror(code), target[0])  # the file write_atomic would name
 
 
 def write_atomic(path, chunks):
@@ -29,27 +74,17 @@ def write_atomic(path, chunks):
     while `chunks` is being produced, the temp file is removed and the
     target is untouched.
     """
-    path = os.fspath(path)
-    try:
-        st = os.stat(path)
-    except FileNotFoundError:
-        st = None
-    try:
-        is_stdout = st is not None and os.path.samestat(st, os.fstat(1))
-    except OSError:  # descriptor 1 is closed
-        is_stdout = False
-    if is_stdout:
+    target = replaced_file(path)
+    if target is None and _is_stdout(os.stat(path)):
         sys.stdout.flush()
         with open(1, "wb", closefd=False) as fh:
             fh.writelines(chunks)
         return
-    if st is not None and not stat.S_ISREG(st.st_mode):
+    if target is None:
         with open(path, "wb") as fh:
             fh.writelines(chunks)
         return
-    if os.path.islink(path):
-        # replace the file the link names, so that the link stays
-        path = os.path.realpath(path)
+    path, st = target
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:

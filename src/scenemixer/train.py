@@ -8,7 +8,7 @@ epoch (earliest on ties). Adam's constants are fixed too: `ADAM_BETA1` 0.9,
 `ADAM_BETA2` 0.999 and `ADAM_EPS` 1e-7. Validation is one infer-mode
 `model.forward` over the whole split, which bounds its own memory by
 running the network in chunks. Train steps and validation run on as many
-threads as `model.use_threads` allows.
+threads as `model.use_threads` allows. The protocol writes no files.
 """
 
 import math
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model as model_mod
-from .fileio import write_atomic
 from .numerics import Tensor
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-7
@@ -132,7 +131,11 @@ class EpochRecord:
 @dataclass
 class TrainHistory:
     records: list = field(default_factory=list)
-    best_epoch: int = 0  # 1-based; 0 until the first epoch completes
+
+    @property
+    def best_epoch(self) -> int:
+        """The epoch of the highest val_oa, the earliest on ties; 0 before the first record."""
+        return max(self.records, key=lambda r: r.val_oa).epoch if self.records else 0
 
     def to_csv(self) -> str:
         lines = ["epoch,train_loss,train_oa,val_loss,val_oa,lr"]
@@ -142,9 +145,6 @@ class TrainHistory:
                 f"{float(r.val_loss)!r},{float(r.val_oa)!r},{float(r.lr)!r}"
             )
         return "\n".join(lines) + "\n"
-
-    def save_csv(self, path):
-        write_atomic(path, [self.to_csv().encode("utf-8")])
 
 
 def train_epoch(model, x: Tensor, y, adam_state: AdamState, lr: float, batch_size: int, shuffle_seed):
@@ -217,9 +217,8 @@ def fit(model, train_set, val_set, cfg: TrainConfig, log=None):
         except FloatingPointError as exc:
             raise FloatingPointError(f"epoch {epoch}, validation: {exc}") from exc
         history.records.append(EpochRecord(epoch, train_loss, train_oa, val_loss, val_oa, lr))
-        if val_oa > sched.best_metric:  # before update, which moves best_metric
+        if history.best_epoch == epoch:
             best_snapshot = model.snapshot()
-            history.best_epoch = epoch
         sched.update(val_oa)
         if log is not None:
             log(f"epoch {epoch}/{cfg.epochs}: loss {train_loss:.4f} oa {train_oa:.4f} "

@@ -2,6 +2,7 @@ import concurrent.futures
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 import threading
@@ -14,7 +15,7 @@ from scenemixer import data as dm
 from scenemixer import layers
 from scenemixer import model as sm
 
-from conftest import run_with_file_size_limit, src_env
+from conftest import ROOT, run_with_file_size_limit, src_env
 
 TINY_CONFIG_TEXT = """\
 input=16x16x3
@@ -595,7 +596,10 @@ def test_nan_pixel_abort_names_epoch_and_batch(tmp_path, tiny_dataset, tiny_conf
     (["eval", "--model", "{model}", "--data", "{data}", "--metrics", "{out}"], "{out}"),
     (["synth", "--out", "{out}", "--classes", "2", "--per-class", "3", "--side", "16"],
      "{out}/00_stripes_horizontal/0000.ppm"),
-], ids=["analyze-csv", "split-out", "eval-confusion", "eval-metrics", "synth-ppm"])
+    # the checkpoint goes to /dev/null, which RLIMIT_FSIZE does not cover, so only the history meets the limit
+    (["train", "--data", "{data}", "--config", "{config}", "--epochs", "1", "--batch", "8", "--quiet",
+      "--out", "/dev/null", "--history", "{out}"], "{out}"),
+], ids=["analyze-csv", "split-out", "eval-confusion", "eval-metrics", "synth-ppm", "train-history"])
 def test_killed_artifact_write_keeps_the_old_file(tmp_path, tiny_dataset, tiny_config, command, artifact,
                                                   capsys):
     model = tmp_path / "m.smxc"
@@ -721,3 +725,115 @@ def test_train_and_eval_without_manifest_match_split_at_the_same_seed(tmp_path, 
                            "--confusion", str(run / "cm.csv"), *extra]) == 0
         outputs.append({name: (run / name).read_bytes() for name in ("m.smxc", "h.csv", "cm.csv")})
     assert outputs[0] == outputs[1]
+
+
+def _tree_bytes(root):
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _refuse_dataset_reads(monkeypatch):
+    reads = []
+
+    def load_dataset(*args, **kwargs):
+        reads.append(args)
+        raise AssertionError("the dataset was read before the outputs were checked")
+
+    monkeypatch.setattr(dm, "load_dataset", load_dataset)
+    return reads
+
+
+@pytest.mark.parametrize("command, message", [
+    (["train", "--out", "{x}", "--history", "{x}"], "--history '{x}' is the same file as --out '{x}'"),
+    (["train", "--out", "{cfg}"], "--out '{cfg}' is the same file as --config '{cfg}'"),
+    (["train", "--out", "{x}", "--history", "{link}"], "--history '{link}' is the same file as --out '{x}'"),
+    (["train", "--manifest", "{manifest}", "--out", "{x}", "--history", "{manifest}"],
+     "--history '{manifest}' is the same file as --manifest '{manifest}'"),
+    (["analyze", "--config", "{cfg}", "--csv", "{cfg}"], "--csv '{cfg}' is the same file as --config '{cfg}'"),
+    (["eval", "--confusion", "{x}", "--metrics", "{x}"], "--metrics '{x}' is the same file as --confusion '{x}'"),
+    (["eval", "--confusion", "{new}", "--metrics", "{new_again}"],
+     "--metrics '{new_again}' is the same file as --confusion '{new}'"),
+    (["eval", "--metrics", "{model}"], "--metrics '{model}' is the same file as --model '{model}'"),
+], ids=["train-out-history", "train-config-out", "train-out-history-link", "train-manifest-history",
+        "analyze-config-csv", "eval-confusion-metrics", "eval-new-path-twice", "eval-model-metrics"])
+def test_output_colliding_with_another_file_of_the_command_is_refused_first(tmp_path, tiny_dataset, tiny_config,
+                                                                           monkeypatch, capsys, command, message):
+    net = sm.build(sm.parse_config_text(TINY_CONFIG_TEXT)[0], seed=0)
+    net.class_names = dm.load_dataset(tiny_dataset).class_names
+    subs = {"x": tmp_path / "x.out", "cfg": tiny_config, "link": tmp_path / "link.out",
+            "manifest": tmp_path / "split.csv", "model": tmp_path / "m.smxc",
+            "new": tmp_path / "new.csv", "new_again": f"{tmp_path}/./new.csv"}
+    sm.save(net, subs["model"])
+    subs["x"].write_bytes(b"an earlier output\n")
+    subs["link"].symlink_to(subs["x"])
+    assert run_inproc(["split", "--data", str(tiny_dataset), "--out", str(subs["manifest"])]) == 0
+    before = _tree_bytes(tmp_path)
+    base = {"train": ["--data", str(tiny_dataset), "--config", str(tiny_config), "--epochs", "1", "--quiet"],
+            "analyze": [], "eval": ["--model", str(subs["model"]), "--data", str(tiny_dataset)]}[command[0]]
+    reads = _refuse_dataset_reads(monkeypatch)
+    capsys.readouterr()
+    assert run_inproc([command[0], *base, *(arg.format(**subs) for arg in command[1:])]) == 2
+    out = capsys.readouterr()
+    assert f"error: {message.format(**subs)}\n" in out.err and out.out == ""
+    assert not reads
+    assert _tree_bytes(tmp_path) == before
+
+
+@pytest.mark.parametrize("command, target", [
+    (["train", "--out", "{path}"], "nosuch/m.smxc"),
+    (["train", "--out", "{out}", "--history", "{path}"], "nosuch/h.csv"),
+    (["train", "--out", "{path}"], "dir"),
+    (["split", "--out", "{path}"], "nosuch/split.csv"),
+    (["eval", "--metrics", "{path}"], "dir"),
+    (["analyze", "--csv", "{path}"], "nosuch/cost.csv"),
+    pytest.param(["train", "--out", "{path}"], "locked/m.smxc",
+                 marks=pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                                          reason="root writes to any directory")),
+], ids=["train-out-missing-dir", "train-history-missing-dir", "train-out-dir", "split-out-missing-dir",
+        "eval-metrics-dir", "analyze-csv-missing-dir", "train-out-locked-dir"])
+def test_output_without_a_place_to_write_is_refused_first(tmp_path, tiny_dataset, tiny_config, monkeypatch,
+                                                         capsys, command, target):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "dir" / "kept").write_bytes(b"kept\n")
+    (tmp_path / "locked").mkdir(mode=0o500)
+    model = tmp_path / "m.smxc"
+    net = sm.build(sm.parse_config_text(TINY_CONFIG_TEXT)[0], seed=0)
+    net.class_names = dm.load_dataset(tiny_dataset).class_names
+    sm.save(net, model)
+    path = tmp_path / target
+    with pytest.raises(OSError) as plain:  # what the write after the last epoch would have met
+        open(path if target == "dir" else path.parent / "probe", "wb")
+    expected = str(plain.value).replace(str(path.parent / "probe"), str(path))
+    before = _tree_bytes(tmp_path)
+    base = {"train": ["--data", str(tiny_dataset), "--config", str(tiny_config), "--epochs", "1", "--quiet"],
+            "split": ["--data", str(tiny_dataset)], "analyze": ["--config", str(tiny_config)],
+            "eval": ["--model", str(model), "--data", str(tiny_dataset)]}[command[0]]
+    reads = _refuse_dataset_reads(monkeypatch)
+    capsys.readouterr()
+    args = [arg.format(path=path, out=tmp_path / "out.smxc") for arg in command[1:]]
+    assert run_inproc([command[0], *base, *args]) == 2
+    out = capsys.readouterr()
+    assert f"error: {expected}\n" in out.err and out.out == ""
+    assert not reads
+    assert _tree_bytes(tmp_path) == before
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_outputs_written_in_place_may_repeat(tmp_path, tiny_dataset, capsys):
+    net = sm.build(sm.parse_config_text(TINY_CONFIG_TEXT)[0], seed=0)
+    net.class_names = dm.load_dataset(tiny_dataset).class_names
+    model = tmp_path / "m.smxc"
+    sm.save(net, model)
+    assert run_inproc(["eval", "--model", str(model), "--data", str(tiny_dataset), "--confusion", "/dev/null",
+                       "--metrics", "/dev/null"]) == 0
+    assert capsys.readouterr().out.startswith("OA: ")
+
+
+def test_readme_command_lines_parse():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Command line\n\n```bash\n(.*?)^```", readme, re.MULTILINE | re.DOTALL).group(1)
+    lines = [re.sub(r"\[([^]]*)\]", r"\1", line) for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("scenemixer ")]
+    assert len(commands) == 6
+    for argv in commands:
+        args = cli.build_parser().parse_args(argv)
+        assert args.command == argv[0]

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from scenemixer.fileio import write_atomic
+from scenemixer.fileio import check_writable, write_atomic
 
 
 def test_symlink_stays_a_link_and_its_file_gets_the_bytes(tmp_path):
@@ -46,3 +46,34 @@ def test_unwritable_target_raises_what_a_plain_open_raises(tmp_path, target):
         write_atomic(tmp_path / target, [b"x"])
     assert type(info.value) is type(plain.value) and str(info.value) == str(plain.value)
     assert [p.name for p in tmp_path.iterdir()] == ["dir"] and not any((tmp_path / "dir").iterdir())
+
+
+@pytest.mark.parametrize("target", ["dir", "missing/out.csv", "dangling.csv"])
+def test_check_writable_raises_what_write_atomic_raises(tmp_path, target):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "dangling.csv").symlink_to(tmp_path / "missing" / "real.csv")
+    with pytest.raises(OSError) as written:
+        write_atomic(tmp_path / target, [b"x"])
+    with pytest.raises(OSError) as checked:
+        check_writable(tmp_path / target)
+    assert type(checked.value) is type(written.value) and str(checked.value) == str(written.value)
+
+
+@pytest.mark.parametrize("target", ["old.csv", "new.csv", "link.csv", "pipe"])
+def test_check_writable_passes_what_write_atomic_writes_and_creates_nothing(tmp_path, target):
+    (tmp_path / "old.csv").write_bytes(b"old\n")
+    (tmp_path / "link.csv").symlink_to(tmp_path / "old.csv")
+    os.mkfifo(tmp_path / "pipe")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    check_writable(tmp_path / target)
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert (tmp_path / "old.csv").read_bytes() == b"old\n"
+
+
+def test_check_writable_refuses_a_directory_without_write_access(tmp_path, monkeypatch):
+    # a directory the process may not write, which chmod cannot make for a process run as root
+    monkeypatch.setattr(os, "access", lambda path, mode: not (path == str(tmp_path) and mode & os.W_OK))
+    with pytest.raises(PermissionError) as info:
+        check_writable(tmp_path / "out.csv")
+    assert str(info.value) == f"[Errno 13] Permission denied: '{tmp_path / 'out.csv'}'"
+    assert not any(tmp_path.iterdir())

@@ -8,7 +8,7 @@ from scenemixer import model as sm
 from scenemixer import train as tr
 from scenemixer.numerics import finite_diff_grad
 
-from conftest import max_rel_err, run_with_file_size_limit
+from conftest import max_rel_err
 
 TINY = sm.ModelConfig(input_h=4, input_w=4, input_c=1, patch=2, embed_dim=2,
                       depth=1, kernels=(3, 5), num_classes=2)
@@ -236,6 +236,13 @@ def test_fit_returns_best_snapshot(rng):
     assert oa == best
 
 
+@pytest.mark.parametrize("val_oas, best", [([], 0), ([0.5, 0.75, 0.75, 0.25], 2), ([0.5, 0.5, 0.5], 1)],
+                         ids=["empty", "tie-after-gain", "flat"])
+def test_history_best_epoch_is_the_earliest_highest_val_oa(val_oas, best):
+    history = tr.TrainHistory([tr.EpochRecord(e, 1.0, 0.5, 1.0, oa, 1e-3) for e, oa in enumerate(val_oas, 1)])
+    assert history.best_epoch == best
+
+
 def test_fit_learns_separable_data(rng):
     x, y = _toy_dataset(rng, 16)
     xv, yv = _toy_dataset(rng, 8)
@@ -345,21 +352,3 @@ def test_abort_context_keeps_the_parameter_and_chains_the_original(rng, monkeypa
         tr.fit(sm.build(TINY, seed=0), (x, y), (x, y), tr.TrainConfig(epochs=3, batch_size=4, seed=0))
     assert str(info.value) == "epoch 2, batch 2: non-finite gradient for head.bias; aborting training"
     assert info.value.__cause__ is raised[0]
-
-
-# ---------------------------------------------------------------------------
-# atomic history output
-
-def test_history_save_failing_mid_write_keeps_previous_file(tmp_path):
-    path = tmp_path / "history.csv"
-    old = b"epoch,train_loss,train_oa,val_loss,val_oa,lr\n" + b"1,0.5,0.5,0.5,0.5,0.001\n" * 20
-    path.write_bytes(old)
-    proc = run_with_file_size_limit(
-        "from scenemixer import train as tr\n"
-        "h = tr.TrainHistory([tr.EpochRecord(e, 0.25, 0.75, 0.5, 0.5, 1e-3) for e in range(1, 200)])\n"
-        f"h.save_csv({str(path)!r})\n",
-        len(old),
-    )
-    assert proc.returncode == 1 and "OSError" in proc.stderr, proc.stderr
-    assert path.read_bytes() == old
-    assert [p.name for p in tmp_path.iterdir()] == ["history.csv"]
