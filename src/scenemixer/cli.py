@@ -5,7 +5,8 @@ its resolved settings to stderr before acting; primary results go to
 stdout. `--threads` sets the size of the thread pool that `train`, `eval`
 and `predict` run their chunks of images on (default and upper bound: the
 usable cores); results do not depend on it. `train`, `eval`, `analyze`
-and `split` check their outputs before they read any input.
+and `split` check their outputs before they read any input, and `synth`
+checks its `--out` before it generates any image.
 
 Importing this module pins BLAS to one thread, so that pool threads do not
 oversubscribe the cores: it sets `OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS`
@@ -24,6 +25,7 @@ macOS and Windows, nothing is set. README gives the measured costs of both.
 
 import argparse
 import ctypes
+import errno
 import os
 import sys
 
@@ -95,12 +97,15 @@ def _resolve_model_config(spec: str):
 
 def _check_outputs(args, outputs, inputs=()):
     """Refuse, before any input is read, an output that `write_atomic` could not write,
-    or that is the same file as another output or as an input the command reads.
+    that lies under the `--data` root, or that is the same file as another output
+    or as an input the command reads.
 
     `outputs` and `inputs` name options of `args`; an unset one is skipped, and
     so is a builtin config name. Outputs written in place, such as `/dev/stdout`,
     may repeat: only a file that `write_atomic` replaces can be lost.
     """
+    data = getattr(args, "data", None)
+    root = data and os.path.realpath(data)
     seen = {}
     for opt in (*inputs, *outputs):
         path = getattr(args, opt)
@@ -108,6 +113,9 @@ def _check_outputs(args, outputs, inputs=()):
             continue
         if opt in outputs:
             check_writable(path)
+            if root and os.path.commonpath([os.path.realpath(path), root]) == root:
+                # it would replace a dataset file, or add one that the next load of the tree meets
+                raise ValueError(f"--{opt} {path!r} lies inside --data {data!r}")
         target = replaced_file(path)
         if target is None:
             continue
@@ -150,6 +158,12 @@ def _cmd_analyze(args):
 
 
 def _cmd_synth(args):
+    # refuse, before any image is generated, an --out under which write_dataset could make no folder
+    existing = os.path.abspath(args.out)
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), existing)
     manifest = data_mod.synth_generate(args.classes, args.per_class, side=args.side, seed=args.seed)
     data_mod.write_dataset(manifest, args.out)
     print(f"wrote {len(manifest.samples)} images in {manifest.num_classes} classes under {args.out}")

@@ -18,11 +18,13 @@ block's input from the `xhat` of the batch norm before it, with
 
 Checkpoints use a small binary container (magic "SMXC"): little-endian
 u32 version, u32-length-prefixed UTF-8 config block of key=value lines,
-u32 tensor count, then per tensor a u32-length-prefixed UTF-8 name, u32
-rank, u64 extents and raw float32 data, in the order of `tensor_shapes`,
-the one table of a config's tensors. `load` raises `CheckpointError` for
-any file that is not such a container for the config it embeds, or whose
-tensors hold a non-finite value or a negative running variance.
+u32 tensor count, then per tensor a header (`_tensor_header`: u32-length-
+prefixed UTF-8 name, u32 rank, u64 extents) and raw float32 data, in the
+order of `tensor_shapes`, the one table of a config's tensors. `load`
+compares each header with the one that table gives, and raises
+`CheckpointError` for any file that is not such a container for the config
+it embeds, or whose tensors hold a non-finite value or a negative running
+variance.
 `save` writes a temp file beside the target and renames it over the
 target, so a failed save leaves the earlier file intact.
 """
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import layers
-from .data import check_class_name, excerpt, excerpt_list
+from .data import check_class_name, excerpt
 from .fileio import write_atomic
 from .layers import BatchNormState, ConvParams, LayerCache
 from .numerics import ShapeError, Tensor
@@ -591,10 +593,14 @@ def _checkpoint_chunks(model: SceneMixerModel):
     yield struct.pack("<I", len(config_blob)) + config_blob
     yield struct.pack("<I", len(tensors))
     for name, t in tensors.items():
-        name_b = name.encode("utf-8")
-        yield struct.pack("<I", len(name_b)) + name_b
-        yield struct.pack("<I", t.ndim) + struct.pack(f"<{t.ndim}Q", *t.shape)
+        yield _tensor_header(name, t.shape)
         yield np.ascontiguousarray(t, dtype="<f4").tobytes()
+
+
+def _tensor_header(name: str, shape: tuple) -> bytes:
+    """The `.smxc` bytes in front of a tensor's data: u32 name length, UTF-8 name, u32 rank, u64 extents."""
+    name_b = name.encode("utf-8")
+    return struct.pack(f"<I{len(name_b)}sI{len(shape)}Q", len(name_b), name_b, len(shape), *shape)
 
 
 class _Reader:
@@ -612,9 +618,6 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def u64s(self, n: int) -> tuple:
-        return struct.unpack(f"<{n}Q", self.take(8 * n))
-
     def text(self, what: str) -> str:
         """A u32-length-prefixed UTF-8 string."""
         raw = self.take(self.u32())
@@ -625,6 +628,10 @@ class _Reader:
 
 
 def load(path) -> SceneMixerModel:
+    """The model in a `.smxc` file. Raises CheckpointError unless, after the config,
+    the file holds the tensor count and records `save` writes for that config, in
+    `tensor_shapes` order, the order of every file `save` has written: each record
+    header must equal `_tensor_header`'s, so no name, rank or extent is parsed."""
     with open(path, "rb") as fh:
         blob = fh.read()
     r = _Reader(blob)
@@ -639,32 +646,25 @@ def load(path) -> SceneMixerModel:
     except ValueError as exc:
         raise CheckpointError(str(exc)) from exc
     count = r.u32()
+    # tensor_shapes walks every kernel of every block, and each stores tensors: a forged count,
+    # depth or kernel list must not cost more than the file's size, where no record is under 20 bytes
+    if count > (len(blob) - r.pos) // 20:
+        raise CheckpointError(f"checkpoint declares {count:,} tensors in its last {len(blob) - r.pos} bytes")
+    if config.depth * len(config.kernels) > count:
+        raise CheckpointError(f"config has {len(config.kernels)} kernels at depth {config.depth:,}, "
+                              f"but the checkpoint stores only {count} tensors")
+    expected = tensor_shapes(config)
+    if count != len(expected):
+        raise CheckpointError(f"checkpoint stores {count} tensors, but its config has {len(expected)}")
     tensors = {}
-    for _ in range(count):
-        name = r.text("tensor name")
-        if name in tensors:
-            raise CheckpointError(f"duplicate tensor {excerpt(name)} in checkpoint")
-        shape = r.u64s(r.u32())
-        if 0 in shape:
-            # no tensor of any config is empty, and numpy rejects (0, 2**63)
-            raise CheckpointError(f"tensor {excerpt(name)}: zero extent in shape {shape}")
-        size = math.prod(shape)  # Python ints: forged extents cannot wrap to a small count
-        tensors[name] = np.frombuffer(r.take(4 * size), dtype="<f4").reshape(shape)
+    for i, (name, shape) in enumerate(expected.items()):
+        header = _tensor_header(name, shape)
+        if r.take(len(header)) != header:
+            raise CheckpointError(f"tensor record {i} is not the one save writes for the config: "
+                                  f"expected {name} of shape {shape}")
+        tensors[name] = np.frombuffer(r.take(4 * math.prod(shape)), dtype="<f4").reshape(shape).astype(np.float32)
     if r.pos != len(blob):
         raise CheckpointError(f"trailing bytes in checkpoint: {len(blob) - r.pos}")
-    # tensor_shapes walks the blocks, and every block stores tensors: a forged
-    # depth must not cost more than the file's size
-    if config.depth > len(tensors):
-        raise CheckpointError(f"config has depth {config.depth:,}, but the checkpoint stores only {len(tensors)} tensors")
-    expected = tensor_shapes(config)
-    if set(tensors) != set(expected):
-        missing = excerpt_list(sorted(set(expected) - set(tensors)))
-        extra = excerpt_list(sorted(set(tensors) - set(expected)))
-        raise CheckpointError(f"tensor set disagrees with embedded config: missing {missing}, unexpected {extra}")
-    for name, shape in expected.items():
-        if tensors[name].shape != shape:
-            raise CheckpointError(f"tensor {name}: shape {tensors[name].shape} != {shape} expected from config")
-    # the shapes match, so no copy is sized by a forged config
-    model = SceneMixerModel(config, {name: tensors[name].astype(np.float32) for name in expected}, class_names)
+    model = SceneMixerModel(config, tensors, class_names)
     _check_tensor_values(model)
     return model

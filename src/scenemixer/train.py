@@ -4,11 +4,13 @@
 accuracy after each one, multiplies the learning rate by `LR_FACTOR` (0.5)
 after `LR_PATIENCE` (10) epochs without strict improvement (never below
 `LR_MIN`, 5e-5), and finally restores the weights of the best validation
-epoch (earliest on ties). Adam's constants are fixed too: `ADAM_BETA1` 0.9,
-`ADAM_BETA2` 0.999 and `ADAM_EPS` 1e-7. Validation is one infer-mode
-`model.forward` over the whole split, which bounds its own memory by
-running the network in chunks. Train steps and validation run on as many
-threads as `model.use_threads` allows. The protocol writes no files.
+epoch (earliest on ties). Both the rate and the best epoch are read from
+the history's records (`plateau_lr`, `TrainHistory.best_epoch`). Adam's
+constants are fixed too: `ADAM_BETA1` 0.9, `ADAM_BETA2` 0.999 and
+`ADAM_EPS` 1e-7. Validation is one infer-mode `model.forward` over the
+whole split, which bounds its own memory by running the network in chunks.
+Train steps and validation run on as many threads as `model.use_threads`
+allows. The protocol writes no files.
 """
 
 import math
@@ -97,25 +99,19 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
         p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
-class PlateauScheduler:
-    """Multiply lr by `LR_FACTOR` after `LR_PATIENCE` epochs without strict
-    improvement of the monitored accuracy; clamp at `LR_MIN`."""
-
-    def __init__(self, lr_init: float):
-        self.current_lr = lr_init
-        self.best_metric = -math.inf
-        self.epochs_since_improvement = 0
-
-    def update(self, val_oa: float) -> float:
-        if val_oa > self.best_metric:
-            self.best_metric = val_oa
-            self.epochs_since_improvement = 0
+def plateau_lr(val_oas, lr_init: float) -> float:
+    """The learning rate after epochs with validation OAs val_oas: multiplied by
+    `LR_FACTOR` after each `LR_PATIENCE` epochs without strict improvement of
+    the best OA so far, and clamped at `LR_MIN`."""
+    lr, best, stale = lr_init, -math.inf, 0
+    for val_oa in val_oas:
+        if val_oa > best:
+            best, stale = val_oa, 0
         else:
-            self.epochs_since_improvement += 1
-            if self.epochs_since_improvement >= LR_PATIENCE:
-                self.current_lr = max(self.current_lr * LR_FACTOR, LR_MIN)
-                self.epochs_since_improvement = 0
-        return self.current_lr
+            stale += 1
+            if stale >= LR_PATIENCE:
+                lr, stale = max(lr * LR_FACTOR, LR_MIN), 0
+    return lr
 
 
 @dataclass
@@ -200,11 +196,10 @@ def fit(model, train_set, val_set, cfg: TrainConfig, log=None):
                          f"image(s) x {tokens} token(s) per image, fewer than the 2 elements per channel "
                          "that batch norm needs")
     adam = AdamState(model.params)
-    sched = PlateauScheduler(cfg.lr_init)
     history = TrainHistory()
     best_snapshot = None
     for epoch in range(1, cfg.epochs + 1):
-        lr = sched.current_lr
+        lr = plateau_lr([r.val_oa for r in history.records], cfg.lr_init)
         try:
             train_loss, train_oa = train_epoch(
                 model, x_train, y_train, adam, lr, cfg.batch_size, shuffle_seed=(cfg.seed, epoch)
@@ -219,7 +214,6 @@ def fit(model, train_set, val_set, cfg: TrainConfig, log=None):
         history.records.append(EpochRecord(epoch, train_loss, train_oa, val_loss, val_oa, lr))
         if history.best_epoch == epoch:
             best_snapshot = model.snapshot()
-        sched.update(val_oa)
         if log is not None:
             log(f"epoch {epoch}/{cfg.epochs}: loss {train_loss:.4f} oa {train_oa:.4f} "
                 f"| val loss {val_loss:.4f} oa {val_oa:.4f} | lr {lr:g}")

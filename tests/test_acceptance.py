@@ -278,8 +278,7 @@ def test_criterion_07_desk_scale_learning():
 
 
 def test_criterion_08_scheduler_conformance():
-    sched = tr.PlateauScheduler(1e-3)
-    trace = [sched.update(0.5) for _ in range(120)]  # never improves after call 1
+    trace = [tr.plateau_lr([0.5] * n, 1e-3) for n in range(1, 121)]  # never improves after epoch 1
     # halvings land exactly when each 10-epoch stagnation window closes
     expected = []
     lr = 1e-3

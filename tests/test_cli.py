@@ -1,4 +1,5 @@
 import concurrent.futures
+import errno
 import os
 import pathlib
 import re
@@ -815,6 +816,51 @@ def test_output_without_a_place_to_write_is_refused_first(tmp_path, tiny_dataset
     assert f"error: {expected}\n" in out.err and out.out == ""
     assert not reads
     assert _tree_bytes(tmp_path) == before
+
+
+@pytest.mark.parametrize("command, target", [
+    (["train", "--out", "{path}"], "{image}"),
+    (["train", "--out", "{out}", "--history", "{path}"], "h.csv"),
+    (["train", "--out", "{path}"], "{link}"),
+    (["split", "--out", "{path}"], "{folder}/m.csv"),
+    (["eval", "--confusion", "{path}"], "cm.csv"),
+], ids=["train-out-image", "train-history-root", "train-out-link-into-data", "split-out-class-folder",
+        "eval-confusion-root"])
+def test_output_inside_the_dataset_is_refused_first(tmp_path, tiny_dataset, tiny_config, monkeypatch, capsys,
+                                                    command, target):
+    # an output there would replace an image, or add a file that the next load of the tree meets
+    model = tmp_path / "m.smxc"
+    net = sm.build(sm.parse_config_text(TINY_CONFIG_TEXT)[0], seed=0)
+    net.class_names = dm.load_dataset(tiny_dataset).class_names
+    sm.save(net, model)
+    image = sorted(tiny_dataset.rglob("*.ppm"))[0]
+    (tmp_path / "link.smxc").symlink_to(image)
+    target = target.format(image=image.relative_to(tiny_dataset), folder=image.parent.name, link="../link.smxc")
+    path = os.path.normpath(tiny_dataset / target)
+    before = _tree_bytes(tmp_path)
+    base = {"train": ["--data", str(tiny_dataset), "--config", str(tiny_config), "--epochs", "1", "--quiet"],
+            "split": ["--data", str(tiny_dataset)], "eval": ["--model", str(model), "--data", str(tiny_dataset)]}
+    reads = _refuse_dataset_reads(monkeypatch)
+    capsys.readouterr()
+    args = [arg.format(path=path, out=tmp_path / "out.smxc") for arg in command[1:]]
+    assert run_inproc([command[0], *base[command[0]], *args]) == 2
+    out = capsys.readouterr()
+    opt = command[command.index("{path}") - 1]
+    assert f"error: {opt} {path!r} lies inside --data {str(tiny_dataset)!r}\n" in out.err and out.out == ""
+    assert not reads
+    assert _tree_bytes(tmp_path) == before
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_synth_into_a_non_directory_is_refused_before_generating(tmp_path, monkeypatch, capsys, out):
+    (tmp_path / "file").write_bytes(b"kept\n")
+    calls = []
+    monkeypatch.setattr(dm, "synth_generate", lambda *args, **kwargs: calls.append(args))
+    assert run_inproc(["synth", "--out", str(tmp_path / out), "--classes", "2", "--per-class", "3"]) == 2
+    refusal = NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(tmp_path / "file"))
+    assert f"error: {refusal}\n" in capsys.readouterr().err
+    assert calls == []
+    assert _tree_bytes(tmp_path) == {tmp_path / "file": b"kept\n"}
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")

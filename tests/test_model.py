@@ -763,7 +763,7 @@ def test_checkpoint_forged_extents_rejected(tmp_path, extents):
     at = blob.index(b"embed.weights") + len(b"embed.weights") + 4  # skip the u32 rank
     blob[at : at + 32] = struct.pack("<4Q", *extents)
     path.write_bytes(bytes(blob))
-    with pytest.raises(sm.CheckpointError, match="truncated"):
+    with pytest.raises(sm.CheckpointError, match=_record_refused(0, "embed.weights", (2, 2, 1, 2))):
         sm.load(path)
 
 
@@ -805,6 +805,12 @@ def test_load_rejects_class_names_save_would_refuse(tmp_path, names):
         sm.load(path)
 
 
+def _record_refused(index, name, shape):
+    """The pattern of load's message for tensor record `index`, which the config gives as name and shape."""
+    return re.escape(f"tensor record {index} is not the one save writes for the config: "
+                     f"expected {name} of shape {shape}")
+
+
 def _saved_blob(tmp_path):
     net = sm.build(TINY, seed=4)
     net.class_names = ["water", "forest"]
@@ -836,7 +842,7 @@ def test_checkpoint_duplicate_tensor_rejected(tmp_path):
     record = (struct.pack("<I", len(name)) + name + struct.pack("<I4Q", 4, 2, 2, 1, 2)
               + np.full(8, 7.0, dtype="<f4").tobytes())
     path.write_bytes(blob[:end] + struct.pack("<I", count + 1) + blob[end + 4 :] + record)
-    with pytest.raises(sm.CheckpointError, match="duplicate tensor 'embed.weights'"):
+    with pytest.raises(sm.CheckpointError, match="^checkpoint stores 15 tensors, but its config has 14$"):
         sm.load(path)
 
 
@@ -851,25 +857,24 @@ def test_checkpoint_forged_tensor_names_are_quoted_as_excerpts(tmp_path):
     forged = b"x" * MEGABYTE
     renamed = _renamed_first_tensor(blob, forged)
     path.write_bytes(renamed)
-    with pytest.raises(sm.CheckpointError) as exc:
+    with pytest.raises(sm.CheckpointError, match=_record_refused(0, "embed.weights", (2, 2, 1, 2))) as exc:
         sm.load(path)
-    assert_bounded_excerpt(exc.value, r"missing \['embed.weights'\], unexpected \['xxx")
+    assert len(str(exc.value)) < 300  # the message quotes the config's name, not the forged one
     # the same name once more, as a second record after the genuine tensors
     _, end = _config_span(renamed)
     (count,) = struct.unpack_from("<I", renamed, end)
     record = (struct.pack("<I", len(forged)) + forged + struct.pack("<I4Q", 4, 2, 2, 1, 2)
               + np.full(8, 7.0, dtype="<f4").tobytes())
     path.write_bytes(renamed[:end] + struct.pack("<I", count + 1) + renamed[end + 4 :] + record)
-    with pytest.raises(sm.CheckpointError) as exc:
+    with pytest.raises(sm.CheckpointError, match="^checkpoint stores 15 tensors, but its config has 14$"):
         sm.load(path)
-    assert_bounded_excerpt(exc.value, "duplicate tensor 'xxx")
 
 
 def test_checkpoint_non_utf8_tensor_name_rejected(tmp_path):
     path, blob = _saved_blob(tmp_path)
     at = blob.index(b"embed.weights")
     path.write_bytes(blob[:at] + b"\xff" + blob[at + 1 :])
-    with pytest.raises(sm.CheckpointError, match="tensor name .* not UTF-8"):
+    with pytest.raises(sm.CheckpointError, match=_record_refused(0, "embed.weights", (2, 2, 1, 2))):
         sm.load(path)
 
 
@@ -912,7 +917,7 @@ def test_checkpoint_element_count_checked_before_build(tmp_path, monkeypatch):
         raise AssertionError("build ran for a checkpoint whose tensors cannot fit its config")
 
     monkeypatch.setattr(sm, "build", no_build)
-    with pytest.raises(sm.CheckpointError, match=re.escape("tensor embed.weights: shape (2, 2, 1, 2) != (2, 2, 1, 4096)")):
+    with pytest.raises(sm.CheckpointError, match=_record_refused(0, "embed.weights", (2, 2, 1, 4096))):
         sm.load(path)
 
 
@@ -946,7 +951,47 @@ def test_checkpoint_zero_extent_rejected(tmp_path):
     path, blob = _saved_blob(tmp_path)
     at = blob.index(b"embed.weights") + len(b"embed.weights") + 4  # skip the u32 rank
     path.write_bytes(blob[:at] + struct.pack("<2Q", 0, 2**63) + blob[at + 16 :])
-    with pytest.raises(sm.CheckpointError, match="zero extent"):
+    with pytest.raises(sm.CheckpointError, match=_record_refused(0, "embed.weights", (2, 2, 1, 2))):
+        sm.load(path)
+
+
+def test_checkpoint_count_and_depth_forged_together_rejected_before_counting(tmp_path, monkeypatch):
+    path, blob = _saved_blob(tmp_path)
+    forged = _replace_config(blob, b"depth=1", b"depth=100000000")
+    _, end = _config_span(forged)
+    path.write_bytes(forged[:end] + struct.pack("<I", 2**32 - 1) + forged[end + 4 :])
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("tensor_shapes ran for a count and depth the checkpoint's bytes cannot hold")
+
+    monkeypatch.setattr(sm, "tensor_shapes", no_table)
+    with pytest.raises(sm.CheckpointError, match=f"^checkpoint declares 4,294,967,295 tensors in its last "
+                                                 f"{len(forged) - end - 4} bytes$"):
+        sm.load(path)
+
+
+def test_checkpoint_kernel_list_checked_before_counting(tmp_path, monkeypatch):
+    path, blob = _saved_blob(tmp_path)
+    kernels = ",".join(str(k) for k in range(3, 2003, 2)).encode()  # 1,000 distinct odd sizes
+    path.write_bytes(_replace_config(blob, b"kernels=3,5", b"kernels=" + kernels))
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("tensor_shapes ran for a kernel list the checkpoint's tensors cannot hold")
+
+    monkeypatch.setattr(sm, "tensor_shapes", no_table)
+    with pytest.raises(sm.CheckpointError, match="^config has 1000 kernels at depth 1, but the checkpoint stores "
+                                                 "only 14 tensors$"):
+        sm.load(path)
+
+
+def test_checkpoint_records_out_of_save_order_rejected(tmp_path):
+    net = sm.build(TINY, seed=4)
+    order = list(net.all_tensors())
+    a, b = order.index("block0.bn.gamma"), order.index("block0.bn.beta")  # same shape, gamma ones, beta zeros
+    order[a], order[b] = order[b], order[a]
+    path = tmp_path / "swapped.smxc"
+    sm.save(sm.SceneMixerModel(TINY, {name: net.all_tensors()[name] for name in order}), path)
+    with pytest.raises(sm.CheckpointError, match=_record_refused(a, "block0.bn.gamma", (2,))):
         sm.load(path)
 
 

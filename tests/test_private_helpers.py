@@ -1,5 +1,6 @@
-"""Every private module-level function or class of the library has a library
-caller, every module imports at module level and uses each name it imports,
+"""Every module-level function or class of the library has a library caller,
+or is listed with the reason it stays without one; every module imports at
+module level and uses each name it imports,
 and only `layers` opens a `LayerCache`'s saved dict, each reader through one check."""
 
 import ast
@@ -9,19 +10,24 @@ import scenemixer
 
 PACKAGE = pathlib.Path(scenemixer.__file__).resolve().parent
 
-# private definitions that only tests call, each with the reason it stays
-TEST_ONLY = {}
+# definitions that no library code calls, each with the reason it stays
+NO_LIBRARY_CALLER = {
+    ("numerics", "finite_diff_grad"): "the finite-difference oracle every hand-written gradient is tested against",
+    ("layers", "count_multiplies"): "the multiply counter of acceptance criterion 05 and of bench/",
+    ("data", "resize_bilinear"): "called by bench/workloads.py and wrapped by bench/spans.py",
+    ("layers", "softmax_backward"): "wrapped by bench/spans.py as the head's backward span",
+}
 
 
 def _trees() -> dict:
     return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
 
 
-def _private_definitions(tree):
+def _definitions(tree):
+    """The module-level functions and classes of tree, dunders aside."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if node.name.startswith("_") and not node.name.startswith("__"):
-                yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("__"):
+            yield node
 
 
 def _nodes_outside(tree, skip):
@@ -49,22 +55,32 @@ def _library_uses(trees: dict, module: str, definition) -> int:
     return count
 
 
-def test_every_private_definition_has_a_library_caller():
+def _unlisted_without_caller(private: bool) -> list:
     trees = _trees()
-    uncalled = [
+    return [
         f"{module}.{definition.name}"
         for module, tree in trees.items()
-        for definition in _private_definitions(tree)
-        if (module, definition.name) not in TEST_ONLY and not _library_uses(trees, module, definition)
+        for definition in _definitions(tree)
+        if definition.name.startswith("_") == private
+        and (module, definition.name) not in NO_LIBRARY_CALLER and not _library_uses(trees, module, definition)
     ]
+
+
+def test_every_private_definition_has_a_library_caller():
+    uncalled = _unlisted_without_caller(private=True)
     assert uncalled == [], f"private definitions that no library code calls: {uncalled}"
+
+
+def test_every_public_definition_has_a_library_caller_or_a_listed_reason():
+    uncalled = _unlisted_without_caller(private=False)
+    assert uncalled == [], f"public definitions that no library code calls and NO_LIBRARY_CALLER omits: {uncalled}"
 
 
 def test_every_listed_exception_still_has_no_library_caller():
     trees = _trees()
-    for (module, name), reason in TEST_ONLY.items():
-        definitions = [d for d in _private_definitions(trees[module]) if d.name == name]
-        assert definitions, f"{module}.{name} is gone; drop it from TEST_ONLY ({reason})"
+    for (module, name), reason in NO_LIBRARY_CALLER.items():
+        definitions = [d for d in _definitions(trees[module]) if d.name == name]
+        assert definitions, f"{module}.{name} is gone; drop it from NO_LIBRARY_CALLER ({reason})"
         assert not _library_uses(trees, module, definitions[0]), f"{module}.{name} has a library caller now"
 
 

@@ -119,34 +119,30 @@ def test_adam_rejects_nonfinite_grad():
 # plateau scheduler
 
 def test_scheduler_halves_after_stagnation():
-    sched = tr.PlateauScheduler(1e-3)
-    lrs = [sched.update(0.5) for _ in range(11)]
+    lrs = [tr.plateau_lr([0.5] * n, 1e-3) for n in range(1, 12)]
     assert lrs[:10] == [1e-3] * 10
     assert lrs[10] == 5e-4
 
 
 def test_scheduler_never_cuts_while_improving():
-    sched = tr.PlateauScheduler(1e-3)
-    for epoch in range(100):
-        assert sched.update(epoch / 100.0) == 1e-3
+    oas = [epoch / 100.0 for epoch in range(100)]
+    for n in range(1, 101):
+        assert tr.plateau_lr(oas[:n], 1e-3) == 1e-3
 
 
 def test_scheduler_clamps_at_floor():
-    sched = tr.PlateauScheduler(1e-3)
-    seen = []
-    sched.update(0.9)  # sets the best
-    for _ in range(200):
-        seen.append(sched.update(0.9))
+    # the first epoch sets the best
+    seen = [tr.plateau_lr([0.9] * n, 1e-3) for n in range(2, 202)]
     distinct = sorted(set(seen), reverse=True)
     assert distinct == [1e-3, 5e-4, 2.5e-4, 1.25e-4, 6.25e-5, 5e-5]
     assert seen[-1] == 5e-5
 
 
 def test_scheduler_lr_monotone_nonincreasing(rng):
-    sched = tr.PlateauScheduler(1e-3)
-    prev = sched.current_lr
-    for _ in range(60):
-        lr = sched.update(float(rng.random()))
+    oas = [float(rng.random()) for _ in range(60)]
+    prev = 1e-3
+    for n in range(1, 61):
+        lr = tr.plateau_lr(oas[:n], 1e-3)
         assert lr <= prev
         assert 5e-5 <= lr <= 1e-3
         prev = lr
@@ -289,6 +285,14 @@ def test_fit_lr_column_obeys_bounds(rng):
     assert all(b <= a for a, b in zip(lrs, lrs[1:]))
     assert all(tr.LR_MIN <= lr <= cfg.lr_init for lr in lrs)
     assert lrs[-1] < cfg.lr_init  # at least one LR_PATIENCE plateau was cut
+
+
+def test_fit_cuts_the_lr_after_each_patience_window(monkeypatch, rng):
+    x, y = _toy_dataset(rng, 2)
+    monkeypatch.setattr(tr, "train_epoch", lambda *args, **kwargs: (0.5, 0.5))
+    monkeypatch.setattr(tr, "evaluate", lambda *args: (0.5, 0.5))  # a flat validation OA
+    _, history = tr.fit(sm.build(TINY, seed=0), (x, y), (x, y), tr.TrainConfig(epochs=25, batch_size=4))
+    assert [r.lr for r in history.records] == [1e-3] * 11 + [5e-4] * 10 + [2.5e-4] * 4
 
 
 def test_history_csv_format(rng):
