@@ -314,8 +314,8 @@ def main(argv=None) -> int:
         _echo_settings(args)
         with model_mod.use_threads(args.threads):
             return args.func(args)
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # an empty message, as MemoryError() has, is named by its type
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -104,6 +104,15 @@ def test_analyze_missing_config_is_runtime_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_error_without_a_message_is_named_by_its_type(tiny_config, monkeypatch, capsys):
+    def out_of_memory(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "_cmd_analyze", out_of_memory)
+    assert run_inproc(["analyze", "--config", str(tiny_config)]) == 2
+    assert capsys.readouterr().err.endswith("error: MemoryError\n")
+
+
 def test_usage_errors_exit_1():
     assert run_subproc(["analyze", "--bogus-flag"]).returncode == 1
     assert run_subproc(["no-such-command"]).returncode == 1

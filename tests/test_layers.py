@@ -164,8 +164,9 @@ def test_depthwise_row_taps_match_window_contraction(rng, k, shape, x_dtype, w_d
 @pytest.mark.parametrize("x_dtype, w_dtype", _DTYPE_PAIRS)
 @pytest.mark.parametrize("k", [3, 5])
 def test_depthwise_forward_bytes_ignore_input_layout(rng, k, x_dtype, w_dtype):
-    # the row view reshapes the padded input, and np.pad keeps an F-ordered input F-ordered;
-    # a 6-D window einsum over this F-ordered float64 input with float32 weights summed in another order
+    # the input is copied into a fresh C-ordered zero-padded buffer, so its row view has one
+    # set of strides; a 6-D window einsum over an F-ordered float64 input with float32
+    # weights would sum in another order
     x = rng.standard_normal((1, 5, 7, 3)).astype(x_dtype)
     p = ConvParams(rng.standard_normal((k, k, 3)).astype(w_dtype), rng.standard_normal(3).astype(w_dtype))
     want = layers.depthwise_conv_forward(np.ascontiguousarray(x), p)[0].tobytes()
@@ -174,6 +175,28 @@ def test_depthwise_forward_bytes_ignore_input_layout(rng, k, x_dtype, w_dtype):
     assert f_ordered.flags.f_contiguous and not channel_strided.flags.c_contiguous
     for layout in (f_ordered, channel_strided):
         assert layers.depthwise_conv_forward(layout, p)[0].tobytes() == want
+
+
+@pytest.mark.parametrize("x_dtype, w_dtype", _DTYPE_PAIRS)
+@pytest.mark.parametrize("shape", [(1, 5, 7, 3), (3, 4, 6, 5), (2, 1, 1, 8)])
+@pytest.mark.parametrize("k", [3, 5])
+def test_depthwise_backward_bytes_ignore_input_layout(rng, k, shape, x_dtype, w_dtype):
+    # dw's window view reads the zero-padded buffer, which is C-ordered whatever x's layout
+    x = rng.standard_normal(shape).astype(x_dtype)
+    p = ConvParams(rng.standard_normal((k, k, shape[3])).astype(w_dtype),
+                   rng.standard_normal(shape[3]).astype(w_dtype))
+    upstream = rng.standard_normal(shape).astype(x_dtype)
+
+    def grads(x):
+        cache = layers.depthwise_conv_forward(x, p)[1]
+        return [g.tobytes() for g in layers.depthwise_conv_backward(cache, upstream, x)]
+
+    want = grads(np.ascontiguousarray(x))
+    f_ordered = np.asfortranarray(x)
+    channel_strided = np.repeat(x, 2, axis=3)[..., ::2]
+    assert not channel_strided.flags.c_contiguous
+    for layout in (f_ordered, channel_strided):
+        assert grads(layout) == want
 
 
 def test_depthwise_rejects_even_kernel():
@@ -324,8 +347,8 @@ def test_float32_normal_cdf_slab_edges(size):
 
 
 def test_float32_gelu_batch_equals_per_image_bytes(rng):
-    # 9 images of 6,400 values: the first slab bound falls inside the sixth image
-    x = (3 * rng.standard_normal((9, 10, 10, 64))).astype(np.float32)
+    # images of 6,400 values, two more than fill a slab: the first slab bound falls inside an image
+    x = (3 * rng.standard_normal((layers._SLAB // 6400 + 2, 10, 10, 64))).astype(np.float32)
     assert x.size > layers._SLAB and layers._SLAB % x[0].size
     for mode in ("train", "infer"):
         whole = layers.gelu_forward(x, mode)

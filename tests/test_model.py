@@ -241,6 +241,19 @@ def _train_step(net, x, labels):
     return probs, sm.backward(net, caches, dlogits)
 
 
+def test_train_step_and_infer_forward_never_call_np_pad(rng, monkeypatch):
+    """Depthwise pads into one zeroed buffer, not through np.pad's generic path."""
+    def no_pad(*args, **kwargs):
+        raise AssertionError("np.pad was called")
+
+    monkeypatch.setattr(np, "pad", no_pad)
+    net = sm.build(TINY, seed=0)
+    x = rng.random((3, 4, 4, 1), dtype=np.float32)
+    probs, grads = _train_step(net, x, np.array([0, 1, 0]))
+    assert probs.shape == (3, 2) and all(np.isfinite(g).all() for g in grads.values())
+    assert sm.forward(net, x, "infer")[0].shape == (3, 2)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_pooled_train_step_matches_serial(rng, dtype):
     """Chunks never depend on the thread count and every merge runs in
