@@ -328,7 +328,8 @@ def test_float32_gelu_non_finite_like_ndtr():
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("size", [1, layers._SLAB - 1, layers._SLAB, layers._SLAB + 1])
+# 2**15 - 1 .. 2**15 + 1 end inside the first slab; _SLAB - 1 .. _SLAB + 1 straddle its bound
+@pytest.mark.parametrize("size", [1, 32767, 32768, 32769, layers._SLAB - 1, layers._SLAB, layers._SLAB + 1])
 def test_float32_normal_cdf_slab_edges(size):
     x = np.linspace(-9, 9, layers._SLAB + 1, dtype=np.float32)[:size]
     cdf = _normal_cdf(x)
