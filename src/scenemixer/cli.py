@@ -164,9 +164,10 @@ def _cmd_synth(args):
         existing = os.path.dirname(existing)
     if not os.path.isdir(existing):
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), existing)
-    manifest = data_mod.synth_generate(args.classes, args.per_class, side=args.side, seed=args.seed)
-    data_mod.write_dataset(manifest, args.out)
-    print(f"wrote {len(manifest.samples)} images in {manifest.num_classes} classes under {args.out}")
+    names, samples = data_mod.synth_samples(args.classes, args.per_class, side=args.side, seed=args.seed)
+    # each image is written as it is made, so the command holds one at a time
+    data_mod.write_dataset(data_mod.DatasetManifest(names, samples), args.out)
+    print(f"wrote {args.classes * args.per_class} images in {len(names)} classes under {args.out}")
     return 0
 
 

@@ -9,10 +9,19 @@ float32 in [0,1]. Normalizing is elementwise, so `load_image` gathers the
 pixels the bilinear resize samples and normalizes only those; its cost
 follows the model input, not the source size (at 64 px: 0.15 ms per image
 from 256 px sources, 0.24 ms from 600 px). The sampling plan, indices and
-weights, is built once per geometry and cached. Synthetic datasets live
-in memory and are already normalized; each synthetic image draws its
+weights, is built once per geometry and cached.
+
+`split_arrays` stacks a split. When every image is a file that already has
+the model's size, it keeps their decoded uint8 pixels, a quarter of the
+float32 bytes, and `to_input` normalizes each slice a train batch or an
+inference chunk takes; normalizing is elementwise, so the model gets the
+bytes that `load_image` gives. Any other split is float32 model input.
+
+Synthetic images live in memory and are already normalized; each draws its
 pattern's period, phase or placement and then its pixel noise (sigma
 `SYNTH_NOISE_SIGMA`, 10/255) from a stream seeded by (seed, class, index).
+`synth_samples` makes them one at a time, so a caller can write each and
+drop it; `synth_generate` collects them into an in-memory dataset.
 
 A PPM header is four fields, `P6`, width, height and maxval 255. Before
 each field come any ASCII whitespace and `#` comments, which run to the end
@@ -37,7 +46,7 @@ class SampleRecord:
     key: str  # class-relative path, or synthetic id; stable sort identity
     class_index: int
     path: str | None = None
-    image: Tensor | None = None  # in-memory samples, float32 in [0,1]
+    image: Tensor | None = None  # in-memory samples, float32 in [0,1]; a split of them stays float32
     split: str = "unassigned"
 
 
@@ -240,6 +249,11 @@ def normalize(img: Tensor) -> Tensor:
     return out
 
 
+def to_input(x: Tensor) -> Tensor:
+    """x as model input in [0,1]: uint8 pixels through `normalize`, float input as it is."""
+    return normalize(x) if x.dtype == np.uint8 else x
+
+
 def load_image(path, out_h: int, out_w: int) -> Tensor:
     """One PPM file as an (out_h, out_w, 3) float32 model input in [0,1]:
     the bytes of `resize_bilinear(normalize(read_ppm(path)), out_h, out_w)`,
@@ -295,19 +309,34 @@ def load_dataset(root) -> DatasetManifest:
 
 
 def split_arrays(manifest: DatasetManifest, split: str, out_h: int, out_w: int):
-    """Materialize one split as (images (n,h,w,3) float32 in [0,1], labels)."""
+    """Materialize one split as (images (n,h,w,3), labels).
+
+    When every sample is a file of the target size, the images are its
+    decoded uint8 pixels, a quarter of the float32 bytes; `to_input` turns
+    any slice of them into the model input that `load_image` gives. Otherwise
+    (an in-memory sample, or a file of another size) they are float32 in
+    [0,1], as `load_image` and `resize_bilinear` give them.
+    """
     records = manifest.of_split(split)
     if not records:
         sizes = np.bincount([s.class_index for s in manifest.samples], minlength=manifest.num_classes).tolist()
         raise ValueError(f"split {split!r} has no samples: per-class counts {manifest.per_class_counts(split)} "
                          f"of class sizes {sizes}")
     _check_target(out_h, out_w)
-    x = np.empty((len(records), out_h, out_w, 3), np.float32)
-    for row, s in zip(x, records):
-        if s.image is None:
-            _fit(read_ppm(s.path), row, normalize)
+    x = np.empty((len(records), out_h, out_w, 3), np.uint8)
+    for row, s in enumerate(records):
+        pixels = None if s.image is not None else read_ppm(s.path)
+        if x.dtype == np.uint8 and (pixels is None or pixels.shape != x.shape[1:]):
+            # the split is float32 from here on, its rows so far normalized as `load_image` would
+            floats = np.empty(x.shape, np.float32)
+            floats[:row] = normalize(x[:row])
+            x = floats
+        if x.dtype == np.uint8:
+            x[row] = pixels
+        elif pixels is None:
+            _fit(s.image, x[row])
         else:
-            _fit(s.image, row)
+            _fit(pixels, x[row], normalize)
     y = np.array([s.class_index for s in records], dtype=np.int64)
     return x, y
 
@@ -457,9 +486,12 @@ SYNTH_PATTERNS = (
 )
 
 
-def synth_generate(classes: int, per_class: int, side: int = 64, seed: int = 0) -> DatasetManifest:
-    """In-memory dataset of procedural textures, `classes` of them with
-    `per_class` samples each, deterministic under `seed`."""
+def synth_samples(classes: int, per_class: int, side: int = 64, seed: int = 0):
+    """(class names, iterator of samples) of `classes` procedural textures with
+    `per_class` samples each, deterministic under `seed`. Each sample's image is
+    made as the iterator reaches it, so a caller that writes and drops each one
+    holds one at a time. Raises ValueError on bad arguments at the call, before
+    any image is made."""
     if classes < 2:
         raise ValueError(f"need >= 2 classes, got {classes}")
     if classes > len(SYNTH_PATTERNS):
@@ -468,24 +500,38 @@ def synth_generate(classes: int, per_class: int, side: int = 64, seed: int = 0) 
         raise ValueError(f"per_class must be >= 1, got {per_class}")
     if side < 1:
         raise ValueError(f"side must be >= 1, got {side}")
-    names = [name for name, _ in SYNTH_PATTERNS[:classes]]
-    manifest = DatasetManifest(names)
-    for cls in range(classes):
-        _, pattern = SYNTH_PATTERNS[cls]
+    patterns = SYNTH_PATTERNS[:classes]
+    return [name for name, _ in patterns], _synth_images(patterns, per_class, side, seed)
+
+
+def _synth_images(patterns, per_class: int, side: int, seed: int):
+    for cls, (name, pattern) in enumerate(patterns):
         for i in range(per_class):
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, cls, i))))
-            base = pattern(side, rng)
-            img = np.repeat(base[:, :, None], 3, axis=2)
-            img = img + rng.normal(0.0, SYNTH_NOISE_SIGMA, size=img.shape)
-            img = np.clip(img, 0.0, 1.0).astype(np.float32)
-            manifest.samples.append(
-                SampleRecord(key=f"{names[cls]}/{i:04d}.ppm", class_index=cls, image=img)
-            )
-    return manifest
+            yield SampleRecord(key=f"{name}/{i:04d}.ppm", class_index=cls, image=_synth_image(pattern, side, rng))
+
+
+def _synth_image(pattern, side: int, rng) -> Tensor:
+    """The pattern plus pixel noise, clipped, worked in the buffer the noise is
+    drawn into; only the float32 result outlives the call."""
+    base = pattern(side, rng)
+    img = rng.normal(0.0, SYNTH_NOISE_SIGMA, size=(side, side, 3))
+    img += base[:, :, None]
+    del base  # freed before the float32 copy is allocated, which can then reuse its memory
+    np.clip(img, 0.0, 1.0, out=img)
+    return img.astype(np.float32)
+
+
+def synth_generate(classes: int, per_class: int, side: int = 64, seed: int = 0) -> DatasetManifest:
+    """In-memory dataset of the samples of `synth_samples`."""
+    names, samples = synth_samples(classes, per_class, side, seed)
+    return DatasetManifest(names, list(samples))
 
 
 def write_dataset(manifest: DatasetManifest, root):
-    """Write an in-memory manifest as a PPM tree under `root`."""
+    """Write a manifest's in-memory samples as a PPM tree under `root`. The
+    samples may be any iterable, such as `synth_samples`' iterator: each is
+    written as it is drawn."""
     for name in manifest.class_names:
         os.makedirs(os.path.join(root, name), exist_ok=True)
     for s in manifest.samples:

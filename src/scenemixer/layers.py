@@ -1,8 +1,9 @@
 """Forward and backward passes for every layer in the mixer network.
 
 Each `*_forward` returns (output, LayerCache); the matching `*_backward`
-consumes the cache exactly once and returns gradients that are exact for
-the implemented forward (validated against central finite differences).
+consumes the cache exactly once, taking its arrays out of it, and returns
+gradients that are exact for the implemented forward (validated against
+central finite differences). A consumed cache holds no array.
 `*_forward(...)[0]` is the output alone; each layer has no other entry point.
 Only this module reads or writes a cache's `saved` dict.
 
@@ -92,8 +93,10 @@ def _check_cache(cache: LayerCache, layer: str, upstream) -> dict:
 
 
 def _consume(cache: LayerCache, layer: str, upstream: Tensor) -> dict:
+    """cache.saved, as `_check_cache` gives it, taken out of the cache: the
+    arrays are freed once the backward that takes them drops them."""
     saved = _check_cache(cache, layer, upstream)
-    cache.consumed = True
+    cache.consumed, cache.saved = True, {}
     return saved
 
 

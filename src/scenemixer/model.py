@@ -14,7 +14,8 @@ computes depends on the thread count. A train step caches each activation
 once: per chunk, block 0's input and, per block, the pointwise input, the
 GELU derivative and the batch-norm `xhat`. The backward rebuilds each later
 block's input from the `xhat` of the batch norm before it, with
-`layers.batch_norm_output`.
+`layers.batch_norm_output`, and takes each cache's arrays out as it consumes
+them, so a step's caches are freed block by block.
 
 Checkpoints use a small binary container (magic "SMXC"): little-endian
 u32 version, u32-length-prefixed UTF-8 config block of key=value lines,
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import layers
+from . import data, layers
 from .data import check_class_name, excerpt
 from .fileio import write_atomic
 from .layers import BatchNormState, ConvParams, LayerCache
@@ -436,6 +437,12 @@ def forward(model: SceneMixerModel, x: Tensor, mode: str):
     chunks meet at each batch norm: the calling thread merges the chunks'
     moments in chunk order and updates the running statistics once. A batch
     of one chunk computes what a whole-batch step does, bit for bit.
+
+    x is float input in [0,1], or uint8 pixels such as a split that
+    `data.split_arrays` keeps as decoded pixels. Pixel input is converted per
+    chunk, by `data.to_input`, as each chunk runs: no float copy of the whole
+    of x is made, and each chunk's input has the bytes that converting the
+    whole of x would give.
     """
     cfg = model.config
     if x.ndim != 4 or x.shape[1:] != (cfg.input_h, cfg.input_w, cfg.input_c):
@@ -445,8 +452,7 @@ def forward(model: SceneMixerModel, x: Tensor, mode: str):
         )
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    x = x.astype(model.dtype, copy=False)
-    chunk = max(1, _CHUNK_BYTES // (cfg.tokens * cfg.embed_dim * x.itemsize))
+    chunk = max(1, _CHUNK_BYTES // (cfg.tokens * cfg.embed_dim * model.dtype.itemsize))
     n = x.shape[0]
     rows = [slice(start, min(start + chunk, n)) for start in range(0, n, chunk)]
     if mode == "train":
@@ -455,10 +461,15 @@ def forward(model: SceneMixerModel, x: Tensor, mode: str):
 
     def run(r):
         # each chunk writes its own rows; an infer-mode network only reads the model
-        probs[r] = _infer_network(model, x[r])
+        probs[r] = _infer_network(model, _chunk_input(model, x[r]))
 
     _map_chunks(run, rows)
     return probs, None
+
+
+def _chunk_input(model: SceneMixerModel, x: Tensor) -> Tensor:
+    """A chunk of a forward's input as model input in the model's dtype."""
+    return data.to_input(x).astype(model.dtype, copy=False)
 
 
 def _infer_network(model: SceneMixerModel, x: Tensor) -> Tensor:
@@ -494,7 +505,7 @@ def _train_forward(model: SceneMixerModel, x: Tensor, rows: list):
 def _chunk_forward(model: SceneMixerModel, x: Tensor, c: ChunkCaches):
     """Train-mode forward of chunk c, filling its caches: yields each block's
     GELU moments and is sent the batch's statistics, then yields the pooled rows."""
-    t, c.embed = layers.patch_embed_forward(x[c.rows], model.conv("embed"))
+    t, c.embed = layers.patch_embed_forward(_chunk_input(model, x[c.rows]), model.conv("embed"))
     c.block_input = t
     for i, s in enumerate(model.bn_states):
         g, block = _mix(model, i, t, "train")
@@ -530,15 +541,21 @@ def backward(model: SceneMixerModel, caches: ForwardCaches, dlogits: Tensor):
 def _chunk_backward(model: SceneMixerModel, c: ChunkCaches, dpooled: Tensor, grads: dict):
     """Backward of chunk c, writing its parameter-gradient partials into grads:
     from the last block on, yields each block's batch-norm partials and is sent
-    the batch's (dgamma, dbeta); yields once more after the patch embed."""
+    the batch's (dgamma, dbeta); yields once more after the patch embed. Each
+    layer's backward takes its arrays out of its cache, and block 0's input is
+    taken out of c, so c's memory is freed as the backward moves past it."""
     dt = layers.global_avg_pool_backward(c.gap, dpooled)
     for i in reversed(range(model.config.depth)):
         block = c.blocks[i]
         sums = yield layers.batch_norm_partials(block.bn, dt)
         dt = layers.batch_norm_backward(block.bn, dt, sums)[0]  # d(loss)/d(GELU output)
         # block i's input, rebuilt from block i-1's batch-norm cache, which is not
-        # consumed yet; `del` frees it before the next yield
-        t = layers.batch_norm_output(c.blocks[i - 1].bn) if i else c.block_input
+        # consumed yet, or block 0's kept one, taken out of c; `del` frees it before
+        # the next yield
+        if i:
+            t = layers.batch_norm_output(c.blocks[i - 1].bn)
+        else:
+            t, c.block_input = c.block_input, None
         dt = _mix_backward(model, i, block, dt, t, grads)
         del t
     # the model drops patch embed's dx

@@ -7,8 +7,10 @@ after `LR_PATIENCE` (10) epochs without strict improvement (never below
 epoch (earliest on ties). Both the rate and the best epoch are read from
 the history's records (`plateau_lr`, `TrainHistory.best_epoch`). Adam's
 constants are fixed too: `ADAM_BETA1` 0.9, `ADAM_BETA2` 0.999 and
-`ADAM_EPS` 1e-7. Validation is one infer-mode `model.forward` over the
-whole split, which bounds its own memory by running the network in chunks.
+`ADAM_EPS` 1e-7. The splits may be `uint8` pixels, as `data.split_arrays`
+keeps a split whose images have the model's size: a train step converts its
+batch, and validation, one infer-mode `model.forward` over the whole split,
+bounds its own memory by running the network, conversion included, in chunks.
 Train steps and validation run on as many threads as `model.use_threads`
 allows. The protocol writes no files.
 """
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import model as model_mod
+from . import data as data_mod, model as model_mod
 from .numerics import Tensor
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-7
@@ -145,7 +147,8 @@ class TrainHistory:
 
 def train_epoch(model, x: Tensor, y, adam_state: AdamState, lr: float, batch_size: int, shuffle_seed):
     """One pass over the data: deterministic shuffle, sequential minibatches
-    (final partial batch included), train-mode forward/backward/Adam."""
+    (final partial batch included), train-mode forward/backward/Adam. Each
+    minibatch of x becomes model input by `data.to_input` as it is drawn."""
     n = x.shape[0]
     if n == 0:
         raise ValueError("train_epoch: empty dataset")
@@ -155,7 +158,8 @@ def train_epoch(model, x: Tensor, y, adam_state: AdamState, lr: float, batch_siz
     correct = 0
     for batch, start in enumerate(range(0, n, batch_size), 1):
         idx = order[start : start + batch_size]
-        xb, yb = x[idx], y[idx]
+        # converted here, not by forward, so that a hook on `model.forward` sees the step's model input
+        xb, yb = data_mod.to_input(x[idx]), y[idx]
         try:
             probs, caches = model_mod.forward(model, xb, "train")
             loss, dlogits = cross_entropy_with_logit_grad(probs, yb)
@@ -180,7 +184,8 @@ def evaluate(model, x: Tensor, y):
 def fit(model, train_set, val_set, cfg: TrainConfig, log=None):
     """Train up to cfg.epochs epochs and restore the best-validation weights.
 
-    train_set/val_set are (images, labels) pairs. Returns (model, history)
+    train_set/val_set are (images, labels) pairs, as `data.split_arrays`
+    gives them. Returns (model, history)
     with the model holding the snapshot of the highest validation OA
     (earliest epoch on ties).
     """

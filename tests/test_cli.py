@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +139,24 @@ def test_synth_idempotent(tmp_path, capsys):
     assert run_inproc(args) == 0
     second = {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*.ppm")}
     assert first == second
+
+
+def test_synth_writes_each_image_as_it_is_made(tmp_path, capsys):
+    """`synth` holds about one image at a time, not the dataset, and writes
+    the tree that writing `synth_generate`'s dataset gives."""
+    streamed, collected = tmp_path / "streamed", tmp_path / "collected"
+    tracemalloc.start()
+    try:
+        assert run_inproc(["synth", "--out", str(streamed), "--classes", "6", "--per-class", "40", "--seed", "3"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 240 float32 64 px images are 11.8 MB; one image's float64 pattern, noise and PPM buffers about 0.5 MB
+    assert peak < 2e6, f"synth peaked at {peak / 1e6:.1f} MB"
+    assert "wrote 240 images in 6 classes" in capsys.readouterr().out
+    dm.write_dataset(dm.synth_generate(6, 40, side=64, seed=3), collected)
+    trees = [{p.relative_to(root): b for p, b in _tree_bytes(root).items()} for root in (streamed, collected)]
+    assert len(trees[0]) == 240 and trees[0] == trees[1]
 
 
 def test_split_writes_manifest(tmp_path, tiny_dataset, capsys):
@@ -584,7 +603,7 @@ def test_nan_pixel_abort_names_epoch_and_batch(tmp_path, tiny_dataset, tiny_conf
 
     def normalize(img):
         img = real_normalize(img)
-        if not poisoned:  # the first image loaded: training images are loaded first
+        if not poisoned:  # the first training batch: a same-size split is normalized per batch
             poisoned.append(img.shape)
             img[3, 4, 1] = np.nan
         return img
@@ -864,7 +883,7 @@ def test_output_inside_the_dataset_is_refused_first(tmp_path, tiny_dataset, tiny
 def test_synth_into_a_non_directory_is_refused_before_generating(tmp_path, monkeypatch, capsys, out):
     (tmp_path / "file").write_bytes(b"kept\n")
     calls = []
-    monkeypatch.setattr(dm, "synth_generate", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(dm, "synth_samples", lambda *args, **kwargs: calls.append(args))
     assert run_inproc(["synth", "--out", str(tmp_path / out), "--classes", "2", "--per-class", "3"]) == 2
     refusal = NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(tmp_path / "file"))
     assert f"error: {refusal}\n" in capsys.readouterr().err

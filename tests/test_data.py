@@ -290,6 +290,26 @@ def test_split_arrays_equals_stacked_per_image_loads(tmp_path, rng):
     assert got.tobytes() == want.tobytes()
 
 
+def test_split_arrays_keeps_files_of_the_target_size_as_pixels(tmp_path, rng):
+    """A split of files that all have the target size is their decoded uint8
+    pixels, whose `to_input` has the bytes of the per-image loads; any other
+    split is float32 in [0,1], as before."""
+    same = _mixed_size_tree(tmp_path / "same", rng, [(16, 16)] * 5)
+    x, y = dm.split_arrays(same, "train", 16, 16)
+    assert x.dtype == np.uint8 and y.tolist() == [0, 1, 0, 1, 0]
+    loads = np.stack([dm.load_image(s.path, 16, 16) for s in same.samples])
+    assert dm.to_input(x).tobytes() == loads.tobytes()
+    assert dm.to_input(loads) is loads
+    mixed = _mixed_size_tree(tmp_path / "mixed", rng, [(16, 16), (16, 16), (20, 16)])
+    memory = dm.DatasetManifest(["a"], [dm.SampleRecord(f"a/{i}", 0, image=img, split="train")
+                                        for i, img in enumerate(loads)])
+    for manifest, side in ((mixed, 16), (same, 8), (memory, 16)):  # mixed sizes, resized, in memory
+        got, _ = dm.split_arrays(manifest, "train", side, side)
+        want = np.stack([dm.load_image(s.path, side, side) if s.image is None
+                         else dm.resize_bilinear(s.image, side, side) for s in manifest.samples])
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+
 def test_load_and_split_reject_bad_target(tmp_path, rng):
     manifest = _mixed_size_tree(tmp_path, rng, [(8, 8), (8, 8)])
     with pytest.raises(ValueError, match="target size must be positive"):

@@ -532,6 +532,22 @@ def test_train_step_caches_each_activation_once(rng):
     assert held_bytes <= 13 * activation * len(caches.chunks), held_bytes / activation
 
 
+def test_backward_frees_each_cache_it_consumes(rng, monkeypatch):
+    """After a backward over two chunks no cache holds an array, and a second
+    backward over the same caches is still refused."""
+    cfg = dataclasses.replace(TINY, depth=2)
+    monkeypatch.setattr(sm, "_CHUNK_BYTES", 2 * cfg.tokens * cfg.embed_dim * 4)  # 2 images a chunk
+    net = sm.build(cfg, seed=0)
+    probs, caches = sm.forward(net, rng.random((4, 4, 4, 1), dtype=np.float32), "train")
+    assert len(caches.chunks) == 2 and list(_cached_arrays(caches))
+    _, dlogits = tr.cross_entropy_with_logit_grad(probs, np.array([0, 1, 1, 0]))
+    sm.backward(net, caches, dlogits)
+    assert list(_cached_arrays(caches)) == []
+    assert all(c.block_input is None for c in caches.chunks)
+    with pytest.raises(RuntimeError, match="already consumed"):
+        sm.backward(net, caches, dlogits)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_train_backward_rebuilds_each_block_input_byte_for_byte(rng, monkeypatch, dtype, threads):

@@ -15,6 +15,8 @@ NO_LIBRARY_CALLER = {
     ("numerics", "finite_diff_grad"): "the finite-difference oracle every hand-written gradient is tested against",
     ("layers", "count_multiplies"): "the multiply counter of acceptance criterion 05 and of bench/",
     ("data", "resize_bilinear"): "called by bench/workloads.py and wrapped by bench/spans.py",
+    ("data", "synth_generate"): "the in-memory dataset of bench/workloads.py's set-up, wrapped by bench/spans.py; "
+                                "`cli synth` writes `synth_samples` as it goes",
     ("layers", "softmax_backward"): "wrapped by bench/spans.py as the head's backward span",
 }
 

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from scenemixer import data as dm
 from scenemixer import model as sm
 from scenemixer import train as tr
 from scenemixer.numerics import finite_diff_grad
@@ -207,6 +208,23 @@ def test_train_epoch_holds_one_steps_caches(rng, threads):
         finally:
             tracemalloc.stop()
     assert peak <= 86e6, f"a 3-step epoch on {threads} threads peaked at {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_fit_on_pixels_equals_fit_on_their_normalized_floats(rng, monkeypatch, threads):
+    """Train batches and validation chunks convert pixel input as they run,
+    to the bytes a float split would hold: the weights and history match."""
+    cfg = sm.ModelConfig(input_h=8, input_w=8, input_c=3, patch=2, embed_dim=4, depth=2, num_classes=3)
+    monkeypatch.setattr(sm, "_CHUNK_BYTES", 3 * cfg.tokens * cfg.embed_dim * 4)  # 3 images a chunk
+    pixels = rng.integers(0, 256, (20, 8, 8, 3), dtype=np.uint8)
+    y = rng.integers(0, 3, 20)
+    runs = []
+    for x in (pixels, dm.normalize(pixels)):
+        net = sm.build(cfg, seed=4)
+        with sm.use_threads(threads):
+            net, history = tr.fit(net, (x[:14], y[:14]), (x[14:], y[14:]), tr.TrainConfig(epochs=2, batch_size=8))
+        runs.append(([t.tobytes() for t in net.all_tensors().values()], history.to_csv()))
+    assert runs[0] == runs[1]
 
 
 def test_fit_single_epoch_history(rng):
